@@ -27,7 +27,6 @@ from repro.adversary import PeriodicGoodRoundAdversary, RandomCorruptionAdversar
 from repro.algorithms import AteAlgorithm
 from repro.core.predicates import AlphaSafePredicate
 from repro.runner import CampaignRunner, PredicateReducer, RunTask
-from repro.runner.executor import _execute_task, _reduced_worker
 from repro.workloads import generators
 
 MAX_ROUNDS = 20
@@ -57,9 +56,10 @@ def taxonomy_reducer() -> PredicateReducer:
 
 def payload_sizes(n: int):
     """Pickled bytes shipped from a worker: full result vs reduced record."""
-    full = pickle.dumps(_execute_task(make_tasks(n)[0], None))
-    _, reduced = _reduced_worker((0, make_tasks(n)[0], None, taxonomy_reducer(), None, False))
-    return len(full), len(pickle.dumps(reduced))
+    runner = CampaignRunner()
+    full = pickle.dumps(runner.run_simulations(make_tasks(n))[0])
+    reduced = pickle.dumps(runner.run_reduced(make_tasks(n), taxonomy_reducer())[0])
+    return len(full), len(reduced)
 
 
 @pytest.mark.parametrize("n", [20, 50])

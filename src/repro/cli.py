@@ -17,8 +17,7 @@
   shared queue directory (lease-based, crash-safe, work-stealing) and
   execute them;
 * ``supervise``  — auto-scale a local worker fleet against a queue
-  directory from observed queue depth (or, with ``--scale-on-trend``,
-  from the EWMA deposit-rate trend);
+  directory from observed queue depth;
 * ``status``     — render a live observability view of a fleet (queue
   depth plus every worker's deposited metric snapshot), once, in a
   ``--watch`` loop, or as ``--json`` for scrapers;
@@ -482,8 +481,6 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
             idle_grace=args.idle_grace,
             steal=not args.no_steal,
             on_status=_status_printer(),
-            scale_on_trend=args.scale_on_trend,
-            trend_horizon=args.trend_horizon,
         )
     except ValueError as exc:  # bad bounds or a non-result-identical backend
         print(str(exc), file=sys.stderr)
@@ -898,21 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-steal",
         action="store_true",
         help="spawn workers with work stealing disabled",
-    )
-    supervise_parser.add_argument(
-        "--scale-on-trend",
-        action="store_true",
-        help=(
-            "scale on the EWMA deposit-rate trend (clear the backlog within "
-            "--trend-horizon at observed per-worker throughput) instead of "
-            "instantaneous queue depth"
-        ),
-    )
-    supervise_parser.add_argument(
-        "--trend-horizon",
-        type=float,
-        default=30.0,
-        help="target seconds to clear the backlog under --scale-on-trend (default 30)",
     )
     supervise_parser.set_defaults(func=_cmd_supervise)
 

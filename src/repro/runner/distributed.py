@@ -78,7 +78,6 @@ from __future__ import annotations
 import base64
 import json
 import logging
-import math
 import os
 import pickle
 import re
@@ -99,13 +98,15 @@ from repro.runner.executor import (
     ReducedCampaignResult,
     RunTask,
     RunTimeoutError,
-    _require_complete,
+    _Outcome,
+    _Pending,
+    _Pipeline,
     cacheable_key,
     materialise_specs,
 )
 from repro.runner.metrics import UNIT_SECONDS_BUCKETS, MetricsRegistry, fleet_registry
 from repro.runner.records import RunRecord, RunnerStats
-from repro.runner.reduce import ReducedRecord, Reducer, reduced_cache_key
+from repro.runner.reduce import ReducedRecord, Reducer
 from repro.runner.spec import CampaignSpec, stable_hash
 from repro.runner.store import CacheStore, PrefixStore, SharedStore
 from repro.simulation.backends import get_backend
@@ -1579,9 +1580,6 @@ class Supervisor:
         steal: bool = True,
         spawn: Optional[Callable[[str], object]] = None,
         on_status: Optional[Callable[[Dict[str, object]], None]] = None,
-        scale_on_trend: bool = False,
-        trend_horizon: float = 30.0,
-        trend_alpha: float = 0.3,
     ) -> None:
         if min_workers < 0:
             raise ValueError(f"min_workers must be >= 0, got {min_workers}")
@@ -1621,15 +1619,6 @@ class Supervisor:
         self._drain_to_zero = False
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        # Trend scaling (--scale-on-trend): EWMA of the fleet's deposit
-        # rate, observed over successive polls.  Off by default — the
-        # instantaneous-depth policy below stays byte-for-byte the old one.
-        self.scale_on_trend = scale_on_trend
-        self.trend_horizon = trend_horizon
-        self.trend_alpha = trend_alpha
-        self._deposit_rate_ewma: Optional[float] = None
-        self._last_deposits: Optional[int] = None
-        self._last_rate_at: Optional[float] = None
         self._m_scale_events = self.queue.metrics.counter(
             "repro_supervisor_scale_events_total", labelnames=("direction",)
         )
@@ -1720,8 +1709,6 @@ class Supervisor:
         idle_for = 0.0 if self._idle_since is None else now - self._idle_since
 
         demand = int(metrics["unclaimed_units"]) + busy
-        if self.scale_on_trend:
-            demand = self._trend_demand(metrics, busy, demand)
         target = min(self.max_workers, max(self.min_workers, demand))
         if drained and idle_for >= self.idle_grace:
             # In drain-and-exit mode the floor drops to zero, otherwise
@@ -1752,46 +1739,6 @@ class Supervisor:
         if self._on_status is not None:
             self._on_status(status)
         return status
-
-    def _trend_demand(self, metrics: Dict[str, object], busy: int, fallback: int) -> int:
-        """Worker demand from the EWMA deposit-rate trend.
-
-        Each poll observes the deposit-count delta as a rate and folds
-        it into an exponentially weighted moving average; demand is then
-        the worker count that clears the claimable backlog within
-        ``trend_horizon`` seconds at the observed per-worker throughput.
-        Until a usable rate exists (first polls, idle fleet) the policy
-        degrades to ``fallback`` — the instantaneous-depth demand — so
-        enabling the flag can never stall a cold fleet.
-        """
-        now = time.monotonic()
-        deposits = int(metrics["deposited_parts"])
-        if (
-            self._last_rate_at is not None
-            and self._last_deposits is not None
-            and now > self._last_rate_at
-        ):
-            rate = max(0, deposits - self._last_deposits) / (now - self._last_rate_at)
-            if self._deposit_rate_ewma is None:
-                self._deposit_rate_ewma = rate
-            else:
-                self._deposit_rate_ewma = (
-                    self.trend_alpha * rate
-                    + (1.0 - self.trend_alpha) * self._deposit_rate_ewma
-                )
-        self._last_rate_at = now
-        self._last_deposits = deposits
-        backlog = int(metrics["claimable_units"])
-        if backlog <= 0:
-            # Nothing left to clear: keep the busy workers, let the
-            # drain/idle-grace machinery do any scale-down.
-            return busy
-        ewma = self._deposit_rate_ewma
-        if ewma is None or ewma <= 0.0 or busy <= 0:
-            return fallback
-        per_worker = ewma / busy
-        needed = math.ceil(backlog / max(per_worker * self.trend_horizon, 1e-9))
-        return max(busy, min(backlog, needed))
 
     def fleet_metrics(self) -> Dict[str, object]:
         """The merged live fleet view (see :func:`fleet_status`)."""
@@ -1902,7 +1849,7 @@ class DistributedReducedCampaignResult(ReducedCampaignResult):
     worker_stats: Dict[str, RunnerStats] = field(default_factory=dict)
 
 
-class DistributedCampaignRunner:
+class DistributedCampaignRunner(_Pipeline):
     """Submit campaigns to a worker fleet and wait for their results.
 
     Implements the :class:`CampaignRunner` execution surface
@@ -1911,7 +1858,10 @@ class DistributedCampaignRunner:
     the existing ``runner=`` kwarg and every E1-E12 sweep can run
     fleet-wide with no driver changes.  The runner itself executes
     nothing: cacheable results are served from the fleet-shared cache,
-    everything else is enqueued and awaited.
+    everything else is enqueued and awaited.  Backend stamping, the
+    cache partition, stats and campaign reassembly are
+    :class:`CampaignRunner`'s own pipeline; only the dispatch step
+    (queue submit, wait, collect, discard) is fleet-specific.
 
     Parameters
     ----------
@@ -1963,13 +1913,13 @@ class DistributedCampaignRunner:
         self, tasks: Sequence[RunTask], capture_errors: bool = False
     ) -> List[RunRecord]:
         """Execute ``tasks`` fleet-wide; one :class:`RunRecord` each, in order."""
-        return self._run(tasks, kind="records", reducer=None, capture_errors=capture_errors)
+        return self._run(tasks, _Outcome(capture_errors=capture_errors), "distributed records")
 
     def run_reduced(
         self, tasks: Sequence[RunTask], reducer: Reducer, capture_errors: bool = False
     ) -> List[ReducedRecord]:
         """Execute ``tasks`` fleet-wide with in-worker reduction."""
-        return self._run(tasks, kind="reduced", reducer=reducer, capture_errors=capture_errors)
+        return self._run(tasks, _Outcome(reducer, capture_errors), "distributed reduced")
 
     def run_simulations(self, tasks: Sequence[RunTask]):
         """Refused: full results are too heavy for the shared store."""
@@ -1981,27 +1931,12 @@ class DistributedCampaignRunner:
 
     def run_campaign(self, spec: CampaignSpec) -> DistributedCampaignResult:
         """Expand ``spec``, execute it fleet-wide, reassemble in order."""
-        before = self.stats.snapshot()
         workers_before = {name: stats.snapshot() for name, stats in self.worker_stats.items()}
-        run_specs = spec.expand()
-        tasks, task_positions, failures = materialise_specs(run_specs, self.stats)
-        records_by_index: Dict[int, RunRecord] = {
-            position: RunRecord.failure(
-                message,
-                key=run_spec.config_hash(),
-                cell=run_spec.cell(),
-                run_index=run_spec.run_index,
-                seed=run_spec.seed,
-            )
-            for position, (message, run_spec) in failures.items()
-        }
-        executed = self.run_tasks(tasks, capture_errors=True)
-        for position, record in zip(task_positions, executed):
-            records_by_index[position] = record
+        records, stats = self._campaign(spec, None)
         return DistributedCampaignResult(
             spec=spec,
-            records=[records_by_index[position] for position in range(len(run_specs))],
-            stats=self.stats.since(before),
+            records=records,
+            stats=stats,
             worker_stats=self._worker_stats_since(workers_before),
         )
 
@@ -2009,29 +1944,13 @@ class DistributedCampaignRunner:
         self, spec: CampaignSpec, reducer: Reducer
     ) -> DistributedReducedCampaignResult:
         """Like :meth:`run_campaign`, with in-worker reduction."""
-        before = self.stats.snapshot()
         workers_before = {name: stats.snapshot() for name, stats in self.worker_stats.items()}
-        run_specs = spec.expand()
-        tasks, task_positions, failures = materialise_specs(run_specs, self.stats)
-        records_by_index: Dict[int, ReducedRecord] = {
-            position: ReducedRecord.failure(
-                message,
-                reducer_name=reducer.name,
-                key=reduced_cache_key(run_spec.config_hash(), reducer),
-                cell=run_spec.cell(),
-                run_index=run_spec.run_index,
-                seed=run_spec.seed,
-            )
-            for position, (message, run_spec) in failures.items()
-        }
-        executed = self.run_reduced(tasks, reducer, capture_errors=True)
-        for position, record in zip(task_positions, executed):
-            records_by_index[position] = record
+        records, stats = self._campaign(spec, reducer)
         return DistributedReducedCampaignResult(
             spec=spec,
             reducer=reducer,
-            records=[records_by_index[position] for position in range(len(run_specs))],
-            stats=self.stats.since(before),
+            records=records,
+            stats=stats,
             worker_stats=self._worker_stats_since(workers_before),
         )
 
@@ -2047,14 +1966,8 @@ class DistributedCampaignRunner:
         enqueuing (every run already cached).
         """
         tasks, _, _ = materialise_specs(spec.expand(), RunnerStats())
-        tasks = self._with_backend(tasks)
-        pending = [task for task in tasks if self._cached(task, reducer) is None]
-        if not pending:
-            return None
-        kind = "records" if reducer is None else "reduced"
-        return self.queue.submit(
-            pending, kind=kind, reducer=reducer, batch_size=self.batch_size
-        )
+        _, pending = self._partition(self._with_backend(tasks), _Outcome(reducer), RunnerStats())
+        return self._submit(pending, reducer) if pending else None
 
     def wait(self, campaign_id: str, timeout: Optional[float] = None) -> None:
         """Block until every batch of ``campaign_id`` is fully covered."""
@@ -2075,104 +1988,59 @@ class DistributedCampaignRunner:
             time.sleep(self.poll_interval)
 
     # -- internals -------------------------------------------------------------
-    def _with_backend(self, tasks: Sequence[RunTask]) -> List[RunTask]:
-        from dataclasses import replace
-
-        if self.backend == "reference":
-            return list(tasks)
-        return [
-            replace(task, backend=self.backend) if task.backend is None else task
-            for task in tasks
-        ]
-
-    def _cache_key(self, task: RunTask, reducer: Optional[Reducer]) -> Optional[str]:
-        base = cacheable_key(task)
-        if base is None:
-            return None
-        return base if reducer is None else reduced_cache_key(base, reducer)
-
-    def _cached(self, task: RunTask, reducer: Optional[Reducer]):
-        key = self._cache_key(task, reducer)
-        if key is None:
-            return None
-        return self.cache.get(key) if reducer is None else self.cache.get_reduced(key)
-
-    def _run(
-        self,
-        tasks: Sequence[RunTask],
-        kind: str,
-        reducer: Optional[Reducer],
-        capture_errors: bool,
-    ) -> List:
-        started = time.perf_counter()
-        tasks = self._with_backend(tasks)
-        records: List[Optional[object]] = [None] * len(tasks)
-        pending: List[Tuple[int, RunTask]] = []
-
-        for index, task in enumerate(tasks):
-            cached = self._cached(task, reducer)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                records[index] = cached
-            else:
-                if self._cache_key(task, reducer) is not None:
-                    self.stats.cache_misses += 1
-                pending.append((index, task))
-
-        if pending:
-            campaign_id = self.queue.submit(
-                [task for _, task in pending],
-                kind=kind,
-                reducer=reducer,
-                batch_size=self.batch_size,
-            )
-            while True:
-                self.wait(campaign_id)
-                try:
-                    fetched, batch_worker_stats = self.queue.collect(campaign_id)
-                    break
-                except IncompleteCampaignError as exc:
-                    # A concurrent submitter requeued a failed batch (or
-                    # a corrupt deposit was just discarded) between our
-                    # wait and collect: wait for its re-execution.
-                    logger.info("collect raced a requeue (%s); waiting again", exc)
-            if len(fetched) != len(pending):
-                raise RuntimeError(
-                    f"campaign {campaign_id!r} returned {len(fetched)} records "
-                    f"for {len(pending)} submitted tasks"
-                )
-            for (index, _), record in zip(pending, fetched):
-                records[index] = record
-            for worker, delta in batch_worker_stats.items():
-                self.worker_stats.setdefault(worker, RunnerStats()).merge(delta)
-                self.stats.executed += delta.executed
-            # Failures are reported to this submitter but never sticky:
-            # drop the results of batches containing failed/timed-out
-            # runs so a later re-submission re-executes them (the
-            # successful runs are in the shared cache already, so the
-            # retry only redoes the failures).  Mirrors the local
-            # runner, which caches only ok records.
-            for batch_index in range(0, len(fetched), self.batch_size):
-                chunk = fetched[batch_index : batch_index + self.batch_size]
-                if any(not record.ok for record in chunk):
-                    self.queue.discard_result(campaign_id, batch_index // self.batch_size)
-
-        self.stats.total += len(tasks)
-        self.stats.failures += sum(
-            1 for r in records if r is not None and r.error and not r.timed_out
+    def _submit(self, pending: _Pending, reducer: Optional[Reducer]) -> str:
+        return self.queue.submit(
+            [task for _, task, _ in pending],
+            kind="records" if reducer is None else "reduced",
+            reducer=reducer,
+            batch_size=self.batch_size,
         )
-        self.stats.timeouts += sum(1 for r in records if r is not None and r.timed_out)
-        self.stats.elapsed_seconds += time.perf_counter() - started
-        records = _require_complete(records, f"distributed {kind}")
-        if not capture_errors:
-            failed = [record for record in records if not record.ok]
-            if failed:
-                first = failed[0]
-                raise RuntimeError(
-                    f"{len(failed)} of {len(records)} distributed runs failed; "
-                    f"first failure (run_index={first.run_index}): {first.error}"
-                )
+
+    def _run(self, tasks: Sequence[RunTask], outcome: _Outcome, surface: str) -> List:
+        records = self._execute(tasks, outcome, surface)
+        failed = [record for record in records if not record.ok]
+        if failed and not outcome.capture_errors:
+            first = failed[0]
+            raise RuntimeError(
+                f"{len(failed)} of {len(records)} distributed runs failed; "
+                f"first failure (run_index={first.run_index}): {first.error}"
+            )
         return records
+
+    def _dispatch(self, pending: _Pending, outcome: _Outcome) -> List[Tuple[int, object]]:
+        """Enqueue the cache misses, wait for the fleet, collect their records."""
+        if not pending:
+            return []
+        campaign_id = self._submit(pending, outcome.reducer)
+        while True:
+            self.wait(campaign_id)
+            try:
+                fetched, batch_worker_stats = self.queue.collect(campaign_id)
+                break
+            except IncompleteCampaignError as exc:
+                # A concurrent submitter requeued a failed batch (or
+                # a corrupt deposit was just discarded) between our
+                # wait and collect: wait for its re-execution.
+                logger.info("collect raced a requeue (%s); waiting again", exc)
+        if len(fetched) != len(pending):
+            raise RuntimeError(
+                f"campaign {campaign_id!r} returned {len(fetched)} records "
+                f"for {len(pending)} submitted tasks"
+            )
+        for worker, delta in batch_worker_stats.items():
+            self.worker_stats.setdefault(worker, RunnerStats()).merge(delta)
+            self.stats.executed += delta.executed
+        # Failures are reported to this submitter but never sticky:
+        # drop the results of batches containing failed/timed-out
+        # runs so a later re-submission re-executes them (the
+        # successful runs are in the shared cache already, so the
+        # retry only redoes the failures).  Mirrors the local
+        # runner, which caches only ok records.
+        for batch_index in range(0, len(fetched), self.batch_size):
+            chunk = fetched[batch_index : batch_index + self.batch_size]
+            if any(not record.ok for record in chunk):
+                self.queue.discard_result(campaign_id, batch_index // self.batch_size)
+        return [(index, record) for (index, _, _), record in zip(pending, fetched)]
 
     def _worker_stats_since(
         self, before: Dict[str, RunnerStats]

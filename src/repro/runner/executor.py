@@ -1,12 +1,12 @@
 """The campaign executor: serial or multiprocessing-backed run execution.
 
-Two execution surfaces are offered:
+Three execution surfaces share one pipeline:
 
 * :meth:`CampaignRunner.run_tasks` — execute concrete
   :class:`RunTask`s (constructed algorithm/adversary objects) and
   return compact :class:`RunRecord`s.  This is what
-  :func:`repro.experiments.common.run_batch` routes through, and the
-  only path with result caching (tasks carry stable keys).
+  :func:`repro.experiments.common.run_batch` routes through; tasks
+  carrying stable keys are cached.
 * :meth:`CampaignRunner.run_reduced` — execute tasks and apply a
   picklable :class:`repro.runner.reduce.Reducer` *inside* the worker
   process, shipping back only compact JSON-able
@@ -17,10 +17,19 @@ Two execution surfaces are offered:
 * :meth:`CampaignRunner.run_simulations` — like ``run_tasks`` but
   returning full :class:`SimulationResult`s for callers that genuinely
   need whole collections in the parent.  No caching (full results are
-  too heavy to persist per run).
-* :meth:`CampaignRunner.run_campaign` /
-  :meth:`CampaignRunner.run_reduced_campaign` — expand a declarative
-  :class:`CampaignSpec` into tasks and execute them with caching.
+  too heavy to persist per run), and run errors propagate.
+
+The surfaces differ only in what a finished or failed run becomes.
+Behind all three, the pipeline partitions tasks on the result cache,
+groups the batchable misses per backend, splits every group into
+per-worker chunks (at any ``jobs``), runs singles and chunks through
+one worker entry point — a failed batch resets its adversaries and
+retries run by run — and updates :class:`RunnerStats`.
+:meth:`CampaignRunner.run_campaign` /
+:meth:`CampaignRunner.run_reduced_campaign` expand a declarative
+:class:`CampaignSpec` into tasks and execute them with caching;
+:class:`~repro.runner.distributed.DistributedCampaignRunner` reuses the
+same pipeline with a worker fleet in place of the process pool.
 
 Parallel execution uses :class:`concurrent.futures.ProcessPoolExecutor`;
 tasks are pickled to workers, so they must be built from picklable
@@ -41,14 +50,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.adversary.base import Adversary
 from repro.core.algorithm import HOAlgorithm
 from repro.core.predicates import CommunicationPredicate
 from repro.core.process import ProcessId, Value
 from repro.runner.cache import ResultCache
-from repro.runner.metrics import UNIT_SECONDS_BUCKETS, MetricsRegistry
+from repro.runner.metrics import UNIT_SECONDS_BUCKETS, HistogramFamily, MetricsRegistry
 from repro.runner.factories import (
     build_adversary,
     build_algorithm,
@@ -92,7 +101,7 @@ class RunTask:
     #: as-is, never re-resolved through the registry, even when its
     #: ``name`` shadows a registered backend.  Never part of the cache
     #: key; non-result-identical backends are excluded from caching
-    #: instead (see :meth:`CampaignRunner._cacheable_key`).
+    #: instead (see :func:`cacheable_key`).
     backend: Optional[Union[str, EngineBackend]] = None
 
     def __post_init__(self) -> None:
@@ -212,39 +221,6 @@ def _execute_task(task: RunTask, timeout: Optional[float]) -> SimulationResult:
         )
 
 
-def _record_worker(
-    payload: Tuple[int, RunTask, Optional[float], bool]
-) -> Tuple[int, RunRecord]:
-    """Worker: run one task and reduce it to a :class:`RunRecord`."""
-    index, task, timeout, capture_errors = payload
-    try:
-        result = _execute_task(task, timeout)
-    except RunTimeoutError as exc:
-        return index, RunRecord.failure(
-            str(exc), timed_out=True, key=task.key, cell=task.cell,
-            run_index=task.run_index, seed=task.seed,
-        )
-    except Exception as exc:
-        if not capture_errors:
-            raise
-        return index, RunRecord.failure(
-            f"{type(exc).__name__}: {exc}", key=task.key, cell=task.cell,
-            run_index=task.run_index, seed=task.seed,
-        )
-    return index, _record_from_result(result, task)
-
-
-def _record_from_result(result: SimulationResult, task: RunTask) -> RunRecord:
-    return RunRecord.from_result(
-        result,
-        predicate=task.predicate,
-        key=task.key,
-        cell=task.cell,
-        run_index=task.run_index,
-        seed=task.seed,
-    )
-
-
 def _planned_rounds(results: Sequence[SimulationResult]) -> int:
     """Rounds the batch backend fault-scheduled array-at-a-time.
 
@@ -266,52 +242,6 @@ def _chunk_splits(results: Sequence[SimulationResult]) -> int:
     return sum(result.metadata.get("batch_chunks", 0) for result in results)
 
 
-def _run_task_batch(
-    tasks_with_index: Sequence[Tuple[int, RunTask]], capture_errors: bool
-) -> Tuple[List[Tuple[int, RunRecord]], int, int]:
-    """Execute one same-backend task group through ``run_batch``.
-
-    A batch aborts as a unit, and the aborted group may already have
-    consumed adversary RNG — so on any error the adversaries' seeded
-    schedules are reset (their documented replay contract) and the
-    group re-executes run by run, isolating the failing run exactly as
-    per-run dispatch would.  Returns the indexed records plus the
-    group's batch-planned round count and memory-budget split count
-    (both 0 on the recovery path).
-    """
-    pairs = list(tasks_with_index)
-    chosen = _task_backend(pairs[0][1])
-    try:
-        results = chosen.run_batch([_task_request(task) for _, task in pairs])
-    except Exception:
-        for _, task in pairs:
-            task.adversary.reset()
-        return (
-            [
-                _record_worker((index, task, None, capture_errors))
-                for index, task in pairs
-            ],
-            0,
-            0,
-        )
-    return (
-        [
-            (index, _record_from_result(result, task))
-            for (index, task), result in zip(pairs, results)
-        ],
-        _planned_rounds(results),
-        _chunk_splits(results),
-    )
-
-
-def _record_batch_worker(
-    payload: Tuple[Sequence[Tuple[int, RunTask]], bool]
-) -> Tuple[List[Tuple[int, RunRecord]], int, int]:
-    """Worker: run one batch chunk and return its records, indexed."""
-    tasks_with_index, capture_errors = payload
-    return _run_task_batch(tasks_with_index, capture_errors)
-
-
 def _batch_chunks(items: List, parts: int) -> List[List]:
     """Split a batch group into at most ``parts`` similar-size chunks."""
     parts = max(1, min(parts, len(items)))
@@ -319,43 +249,133 @@ def _batch_chunks(items: List, parts: int) -> List[List]:
     return [items[start : start + size] for start in range(0, len(items), size)]
 
 
-def _simulation_worker(
-    payload: Tuple[int, RunTask, Optional[float]]
-) -> Tuple[int, SimulationResult]:
-    """Worker: run one task and return the full simulation result."""
-    index, task, timeout = payload
-    return index, _execute_task(task, timeout)
+@dataclass(frozen=True)
+class _Outcome:
+    """What a finished or failed run becomes: the one thing surfaces vary.
+
+    ``run_tasks`` makes :class:`RunRecord`s (no reducer),
+    ``run_reduced`` makes :class:`ReducedRecord`s (reduced in the
+    worker), and ``run_simulations`` (``full``) keeps the whole uncached
+    :class:`SimulationResult`, letting run errors and timeouts
+    propagate.  Pickled into pool workers with every payload.
+    """
+
+    reducer: Optional[Reducer] = None
+    capture_errors: bool = False
+    full: bool = False
+
+    def key(self, task: RunTask) -> Optional[str]:
+        """The cache key this surface reads and writes (None = uncached)."""
+        base = None if self.full else cacheable_key(task)
+        if base is None or self.reducer is None:
+            return base
+        return reduced_cache_key(base, self.reducer)
+
+    def lookup(self, cache: ResultCache, key: str) -> Any:
+        return cache.get(key) if self.reducer is None else cache.get_reduced(key)
+
+    def store(self, cache: ResultCache, key: str, record: Any) -> None:
+        if self.reducer is None:
+            cache.put(key, record)
+        else:
+            cache.put_reduced(key, record)
+
+    def done(self, task: RunTask, key: Optional[str], result: SimulationResult) -> Any:
+        """The output of a run that finished."""
+        if self.full:
+            return result
+        if self.reducer is None:
+            return RunRecord.from_result(
+                result, predicate=task.predicate, key=task.key, cell=task.cell,
+                run_index=task.run_index, seed=task.seed,
+            )
+        try:
+            data = self.reducer.reduce(result)
+        except Exception as exc:
+            return self.failed(task, key, exc)
+        return ReducedRecord.from_data(
+            data, reducer_name=self.reducer.name, key=key, cell=task.cell,
+            run_index=task.run_index, seed=task.seed,
+        )
+
+    def failed(self, task: RunTask, key: Optional[str], exc: Exception) -> Any:
+        """The failure record of a run that raised ``exc``.
+
+        Timeouts always become records; other errors only with
+        ``capture_errors``.  Full results record nothing: the error
+        propagates.
+        """
+        timed_out = isinstance(exc, RunTimeoutError)
+        if self.full or not (timed_out or self.capture_errors):
+            raise exc
+        message = str(exc) if timed_out else f"{type(exc).__name__}: {exc}"
+        if self.reducer is None:
+            return RunRecord.failure(
+                message, timed_out=timed_out, key=task.key, cell=task.cell,
+                run_index=task.run_index, seed=task.seed,
+            )
+        return ReducedRecord.failure(
+            message, timed_out=timed_out, reducer_name=self.reducer.name, key=key,
+            cell=task.cell, run_index=task.run_index, seed=task.seed,
+        )
+
+    def spec_failure(self, message: str, run_spec: RunSpec) -> Any:
+        """The failure record of a campaign cell whose objects could not be built."""
+        key = run_spec.config_hash()
+        if self.reducer is None:
+            return RunRecord.failure(
+                message, key=key, cell=run_spec.cell(),
+                run_index=run_spec.run_index, seed=run_spec.seed,
+            )
+        return ReducedRecord.failure(
+            message, reducer_name=self.reducer.name,
+            key=reduced_cache_key(key, self.reducer), cell=run_spec.cell(),
+            run_index=run_spec.run_index, seed=run_spec.seed,
+        )
 
 
-def _reduced_worker(
-    payload: Tuple[int, RunTask, Optional[float], Reducer, Optional[str], bool]
-) -> Tuple[int, ReducedRecord]:
-    """Worker: run one task and reduce it in-process, shipping back only
-    the compact :class:`ReducedRecord` (never the full result)."""
-    index, task, timeout, reducer, key, capture_errors = payload
+#: Cache misses as ``(index, task, cache key)``.
+_Pending = List[Tuple[int, RunTask, Optional[str]]]
+
+
+def _run_one(
+    task: RunTask, key: Optional[str], timeout: Optional[float], outcome: _Outcome
+) -> Any:
     try:
         result = _execute_task(task, timeout)
-        data = reducer.reduce(result)
-    except RunTimeoutError as exc:
-        return index, ReducedRecord.failure(
-            str(exc), timed_out=True, reducer_name=reducer.name, key=key,
-            cell=task.cell, run_index=task.run_index, seed=task.seed,
-        )
     except Exception as exc:
-        if not capture_errors:
-            raise
-        return index, ReducedRecord.failure(
-            f"{type(exc).__name__}: {exc}", reducer_name=reducer.name, key=key,
-            cell=task.cell, run_index=task.run_index, seed=task.seed,
-        )
-    return index, ReducedRecord.from_data(
-        data,
-        reducer_name=reducer.name,
-        key=key,
-        cell=task.cell,
-        run_index=task.run_index,
-        seed=task.seed,
-    )
+        return outcome.failed(task, key, exc)
+    return outcome.done(task, key, result)
+
+
+def _worker(
+    payload: Tuple[_Pending, bool, Optional[float], _Outcome]
+) -> Tuple[List[Tuple[int, Any]], int, int]:
+    """Worker entry point: one payload, a single run or a batch chunk.
+
+    A batch chunk goes to its backend's ``run_batch``.  A batch aborts
+    as a unit and may already have consumed adversary RNG, so on any
+    error the adversaries' seeded schedules are reset (their documented
+    replay contract) and the chunk re-executes run by run, isolating
+    the failing run exactly as per-run dispatch would.  Returns the
+    indexed outputs plus the chunk's batch-planned round count and
+    memory-budget split count (both 0 off the batch path).
+    """
+    entries, batched, timeout, outcome = payload
+    if batched:
+        tasks = [task for _, task, _ in entries]
+        try:
+            results = _task_backend(tasks[0]).run_batch([_task_request(t) for t in tasks])
+        except Exception:
+            for task in tasks:
+                task.adversary.reset()
+        else:
+            outputs = [
+                (index, outcome.done(task, key, result))
+                for (index, task, key), result in zip(entries, results)
+            ]
+            return outputs, _planned_rounds(results), _chunk_splits(results)
+    return [(index, _run_one(task, key, timeout, outcome)) for index, task, key in entries], 0, 0
 
 
 def _require_complete(results: List, surface: str) -> List:
@@ -428,7 +448,118 @@ def task_from_spec(spec: RunSpec) -> RunTask:
     )
 
 
-class CampaignRunner:
+class _Pipeline:
+    """The execution pipeline behind every runner surface.
+
+    Stamps the default backend onto tasks, partitions them on the
+    result cache, hands the misses to :meth:`_dispatch` and updates
+    :class:`RunnerStats`; :meth:`_campaign` expands declarative specs on
+    top.  :class:`CampaignRunner` dispatches to in-process or pooled
+    workers, :class:`~repro.runner.distributed.DistributedCampaignRunner`
+    to a worker fleet through its queue.
+    """
+
+    backend: Union[str, EngineBackend]
+    cache: Optional[ResultCache]
+    stats: RunnerStats
+    _m_window: Optional[HistogramFamily] = None
+
+    def run_tasks(
+        self, tasks: Sequence[RunTask], capture_errors: bool = False
+    ) -> List[RunRecord]:
+        raise NotImplementedError
+
+    def run_reduced(
+        self, tasks: Sequence[RunTask], reducer: Reducer, capture_errors: bool = False
+    ) -> List[ReducedRecord]:
+        raise NotImplementedError
+
+    def _dispatch(self, pending: _Pending, outcome: _Outcome) -> Iterable[Tuple[int, Any]]:
+        """Execute the cache misses, yielding ``(index, output)`` pairs."""
+        raise NotImplementedError
+
+    def _with_backend(self, tasks: Sequence[RunTask]) -> List[RunTask]:
+        """Tasks with the runner's default backend filled in where unset.
+
+        Returns copies rather than mutating the caller's tasks, so the
+        same task list can be run through differently configured
+        runners (e.g. to compare backends).
+        """
+        if self.backend == "reference":
+            return list(tasks)
+        return [
+            replace(task, backend=self.backend) if task.backend is None else task
+            for task in tasks
+        ]
+
+    def _observe_window(self, started: float) -> float:
+        """Elapsed seconds since ``started``, observed when instrumented."""
+        elapsed = time.perf_counter() - started
+        if self._m_window is not None:
+            self._m_window.observe(max(0.0, elapsed))
+        return elapsed
+
+    def _partition(
+        self, tasks: Sequence[RunTask], outcome: _Outcome, stats: RunnerStats
+    ) -> Tuple[List[Any], _Pending]:
+        """Cache hits in place, plus the misses still to execute."""
+        outputs: List[Any] = [None] * len(tasks)
+        pending: _Pending = []
+        for index, task in enumerate(tasks):
+            key = outcome.key(task)
+            cached = outcome.lookup(self.cache, key) if self.cache is not None and key else None
+            if cached is not None:
+                stats.cache_hits += 1
+                outputs[index] = cached
+                continue
+            if self.cache is not None and key:
+                stats.cache_misses += 1
+            pending.append((index, task, key))
+        return outputs, pending
+
+    def _execute(self, tasks: Sequence[RunTask], outcome: _Outcome, surface: str) -> List[Any]:
+        """Run ``tasks`` through the pipeline; one output each, in task order."""
+        started = time.perf_counter()
+        outputs, pending = self._partition(self._with_backend(tasks), outcome, self.stats)
+        for index, output in self._dispatch(pending, outcome):
+            outputs[index] = output
+        self.stats.total += len(outputs)
+        if not outcome.full:
+            self.stats.failures += sum(
+                1 for r in outputs if r is not None and r.error and not r.timed_out
+            )
+            self.stats.timeouts += sum(1 for r in outputs if r is not None and r.timed_out)
+        self.stats.elapsed_seconds += self._observe_window(started)
+        return _require_complete(outputs, surface)
+
+    def _campaign(
+        self, spec: CampaignSpec, reducer: Optional[Reducer]
+    ) -> Tuple[List[Any], RunnerStats]:
+        """Expand ``spec``, execute it and reassemble records in spec order.
+
+        Cells whose objects cannot be built (bad name/params) become
+        failure records in place.  Returns the records and this
+        campaign's stats delta (not the runner's lifetime counters, so
+        reusing one runner never leaks one campaign's totals into the
+        next one's report).
+        """
+        before = self.stats.snapshot()
+        run_specs = spec.expand()
+        tasks, positions, failures = materialise_specs(run_specs, self.stats)
+        if reducer is None:
+            executed: List[Any] = self.run_tasks(tasks, capture_errors=True)
+        else:
+            executed = self.run_reduced(tasks, reducer, capture_errors=True)
+        records: List[Any] = [None] * len(run_specs)
+        for position, record in zip(positions, executed):
+            records[position] = record
+        outcome = _Outcome(reducer)
+        for position, (message, run_spec) in failures.items():
+            records[position] = outcome.spec_failure(message, run_spec)
+        return records, self.stats.since(before)
+
+
+class CampaignRunner(_Pipeline):
     """Executes batches of runs serially or across worker processes.
 
     Parameters
@@ -485,29 +616,6 @@ class CampaignRunner:
         )
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _observe_window(self, started: float) -> float:
-        """Elapsed seconds since ``started``, observed when instrumented."""
-        elapsed = time.perf_counter() - started
-        if self._m_window is not None:
-            self._m_window.observe(max(0.0, elapsed))
-        return elapsed
-
-    def _with_backend(self, tasks: Sequence[RunTask]) -> List[RunTask]:
-        """Tasks with the runner's default backend filled in where unset.
-
-        Returns copies rather than mutating the caller's tasks, so the
-        same task list can be run through differently configured
-        runners (e.g. to compare backends).
-        """
-        if self.backend == "reference":
-            return list(tasks)
-        return [
-            replace(task, backend=self.backend) if task.backend is None else task
-            for task in tasks
-        ]
-
-    _cacheable_key = staticmethod(cacheable_key)
-
     def _batchable(self, task: RunTask) -> bool:
         """Whether this task may join a whole-group ``run_batch`` call.
 
@@ -554,7 +662,7 @@ class CampaignRunner:
         self.close()
 
     # ------------------------------------------------------------------
-    # Record-producing execution (cacheable)
+    # The execution surfaces
     # ------------------------------------------------------------------
     def run_tasks(
         self, tasks: Sequence[RunTask], capture_errors: bool = False
@@ -567,68 +675,70 @@ class CampaignRunner:
         user-supplied grids use this so one infeasible cell cannot sink
         the whole sweep.
         """
-        started = time.perf_counter()
-        tasks = self._with_backend(tasks)
-        records: List[Optional[RunRecord]] = [None] * len(tasks)
-        pending: List[Tuple[int, RunTask]] = []
+        return self._execute(tasks, _Outcome(capture_errors=capture_errors), "run_tasks")
 
-        for index, task in enumerate(tasks):
-            key = self._cacheable_key(task)
-            cached = self.cache.get(key) if self.cache is not None and key else None
-            if cached is not None:
-                self.stats.cache_hits += 1
-                records[index] = cached
+    def run_reduced(
+        self,
+        tasks: Sequence[RunTask],
+        reducer: Reducer,
+        capture_errors: bool = False,
+    ) -> List[ReducedRecord]:
+        """Execute ``tasks``, applying ``reducer`` inside the worker.
+
+        Returns one :class:`ReducedRecord` per task, in task order.
+        Only the reduced data crosses the process boundary — the full
+        :class:`SimulationResult` (process objects plus the n² × rounds
+        heard-of collection) never leaves the worker.  Records are
+        cached under keys that mix the task's stable key with the
+        reducer's fingerprint, so different reducers (or differently
+        parametrised ones) never share entries with each other or with
+        plain :class:`RunRecord`s.
+        """
+        return self._execute(tasks, _Outcome(reducer, capture_errors), "run_reduced")
+
+    def run_simulations(self, tasks: Sequence[RunTask]) -> List[SimulationResult]:
+        """Execute ``tasks`` and return full results in task order.
+
+        Uncached; a run's error (timeouts included) propagates.  Batch
+        groups still split into per-worker chunks, so pooled runs ship
+        whole chunks of results back.
+        """
+        return self._execute(tasks, _Outcome(full=True), "run_simulations")
+
+    def _dispatch(self, pending: _Pending, outcome: _Outcome) -> Iterator[Tuple[int, Any]]:
+        """Run the cache misses and store the ok records.
+
+        Unbatchable runs go one per payload; each same-backend batch
+        group is split into per-worker chunks, so a pooled sweep still
+        parallelises (outputs stay byte-identical at any ``jobs``).
+        """
+        payloads: List[tuple] = []
+        groups: Dict[object, _Pending] = {}
+        for entry in pending:
+            if self._batchable(entry[1]):
+                groups.setdefault(self._batch_group_key(entry[1]), []).append(entry)
             else:
-                if self.cache is not None and key:
-                    self.stats.cache_misses += 1
-                pending.append((index, task))
-
-        singles: List[Tuple[int, RunTask]] = []
-        groups: Dict[object, List[Tuple[int, RunTask]]] = {}
-        for index, task in pending:
-            if self._batchable(task):
-                groups.setdefault(self._batch_group_key(task), []).append((index, task))
-            else:
-                singles.append((index, task))
-
-        def _store(index: int, record: RunRecord) -> None:
-            records[index] = record
-            key = self._cacheable_key(tasks[index])
-            if record.ok and self.cache is not None and key:
-                self.cache.put(key, record)
-
-        payloads = [
-            (index, task, self.timeout, capture_errors) for index, task in singles
-        ]
-        for index, record in self._run_payloads(_record_worker, payloads):
-            _store(index, record)
-
-        # Whole same-backend groups go to run_batch; with a worker pool
-        # each group is split into per-worker chunks so the sweep still
-        # parallelises (records stay byte-identical either way).
-        batch_payloads = []
+                payloads.append(([entry], False, self.timeout, outcome))
         for group in groups.values():
             self.stats.batched += len(group)
-            for chunk in _batch_chunks(group, self.jobs):
-                batch_payloads.append((chunk, capture_errors))
-        for pairs, planned, chunks in self._run_payloads(_record_batch_worker, batch_payloads):
+            chunks = _batch_chunks(group, self.jobs)
+            payloads.extend((chunk, True, None, outcome) for chunk in chunks)
+        keys = {index: key for index, _, key in pending}
+        for outputs, planned, splits in self._run_payloads(_worker, payloads):
             self.stats.batch_planned += planned
-            self.stats.batch_chunks += chunks
-            for index, record in pairs:
-                _store(index, record)
-
-        self.stats.total += len(tasks)
+            self.stats.batch_chunks += splits
+            for index, output in outputs:
+                key = keys[index]
+                if self.cache is not None and key and output.ok:
+                    outcome.store(self.cache, key, output)
+                yield index, output
         self.stats.executed += len(pending)
-        self.stats.failures += sum(1 for r in records if r is not None and r.error and not r.timed_out)
-        self.stats.timeouts += sum(1 for r in records if r is not None and r.timed_out)
-        self.stats.elapsed_seconds += self._observe_window(started)
-        return _require_complete(records, "run_tasks")
 
     def _run_payloads(self, worker, payloads: Sequence[tuple]):
-        """Run indexed payloads through ``worker``, in-process or pooled.
+        """Run payloads through ``worker``, in-process or pooled.
 
-        Yields ``(index, result)`` pairs as they complete (unordered in
-        the pooled case; callers re-order by index).
+        Yields each payload's result as it completes (unordered in the
+        pooled case; outputs carry their task index for re-ordering).
         """
         if not payloads:
             return
@@ -650,156 +760,8 @@ class CampaignRunner:
             raise
 
     # ------------------------------------------------------------------
-    # In-worker reduction (cacheable; the E3-E12 driver path)
-    # ------------------------------------------------------------------
-    def run_reduced(
-        self,
-        tasks: Sequence[RunTask],
-        reducer: Reducer,
-        capture_errors: bool = False,
-    ) -> List[ReducedRecord]:
-        """Execute ``tasks``, applying ``reducer`` inside the worker.
-
-        Returns one :class:`ReducedRecord` per task, in task order.
-        Only the reduced data crosses the process boundary — the full
-        :class:`SimulationResult` (process objects plus the n² × rounds
-        heard-of collection) never leaves the worker.  Records are
-        cached under keys that mix the task's stable key with the
-        reducer's fingerprint, so different reducers (or differently
-        parametrised ones) never share entries with each other or with
-        plain :class:`RunRecord`s.
-        """
-        started = time.perf_counter()
-        tasks = self._with_backend(tasks)
-        records: List[Optional[ReducedRecord]] = [None] * len(tasks)
-        pending: List[Tuple[int, RunTask, Optional[str]]] = []
-
-        for index, task in enumerate(tasks):
-            base_key = self._cacheable_key(task)
-            key = reduced_cache_key(base_key, reducer) if base_key else None
-            cached = (
-                self.cache.get_reduced(key) if self.cache is not None and key else None
-            )
-            if cached is not None:
-                self.stats.cache_hits += 1
-                records[index] = cached
-            else:
-                if self.cache is not None and key:
-                    self.stats.cache_misses += 1
-                pending.append((index, task, key))
-
-        singles: List[Tuple[int, RunTask, Optional[str]]] = []
-        groups: Dict[object, List[Tuple[int, RunTask, Optional[str]]]] = {}
-        for entry in pending:
-            # Batched reduction stays serial: pooled workers already
-            # reduce in-process per run, and chunked batches would ship
-            # full results between stages.
-            if self.jobs == 1 and self._batchable(entry[1]):
-                groups.setdefault(self._batch_group_key(entry[1]), []).append(entry)
-            else:
-                singles.append(entry)
-
-        def _store(index: int, record: ReducedRecord) -> None:
-            records[index] = record
-            if record.ok and self.cache is not None and record.key:
-                self.cache.put_reduced(record.key, record)
-
-        for group in groups.values():
-            chosen = _task_backend(group[0][1])
-            self.stats.batched += len(group)
-            try:
-                results = chosen.run_batch([_task_request(task) for _, task, _ in group])
-            except Exception:
-                # Same recovery as _run_task_batch: reset the seeded
-                # schedules and isolate failures on the per-run path.
-                for _, task, _ in group:
-                    task.adversary.reset()
-                singles.extend(group)
-                continue
-            self.stats.batch_planned += _planned_rounds(results)
-            self.stats.batch_chunks += _chunk_splits(results)
-            for (index, task, key), result in zip(group, results):
-                try:
-                    data = reducer.reduce(result)
-                except Exception as exc:
-                    if not capture_errors:
-                        raise
-                    _store(index, ReducedRecord.failure(
-                        f"{type(exc).__name__}: {exc}", reducer_name=reducer.name,
-                        key=key, cell=task.cell, run_index=task.run_index, seed=task.seed,
-                    ))
-                else:
-                    _store(index, ReducedRecord.from_data(
-                        data, reducer_name=reducer.name, key=key, cell=task.cell,
-                        run_index=task.run_index, seed=task.seed,
-                    ))
-
-        payloads = [
-            (index, task, self.timeout, reducer, key, capture_errors)
-            for index, task, key in singles
-        ]
-        for index, record in self._run_payloads(_reduced_worker, payloads):
-            _store(index, record)
-
-        self.stats.total += len(tasks)
-        self.stats.executed += len(pending)
-        self.stats.failures += sum(1 for r in records if r is not None and r.error and not r.timed_out)
-        self.stats.timeouts += sum(1 for r in records if r is not None and r.timed_out)
-        self.stats.elapsed_seconds += self._observe_window(started)
-        return _require_complete(records, "run_reduced")
-
-    # ------------------------------------------------------------------
-    # Full-result execution (uncached; for collection-inspecting drivers)
-    # ------------------------------------------------------------------
-    def run_simulations(self, tasks: Sequence[RunTask]) -> List[SimulationResult]:
-        """Execute ``tasks`` and return full results in task order.
-
-        Serial execution hands whole same-backend groups to
-        batch-capable backends; pooled execution stays per-run (full
-        results are too heavy to ship back in batches).
-        """
-        started = time.perf_counter()
-        tasks = self._with_backend(tasks)
-        results: List[Optional[SimulationResult]] = [None] * len(tasks)
-        if self.jobs == 1:
-            groups: Dict[object, List[int]] = {}
-            for index, task in enumerate(tasks):
-                if self._batchable(task):
-                    groups.setdefault(self._batch_group_key(task), []).append(index)
-            batched: set = set()
-            for indices in groups.values():
-                chosen = _task_backend(tasks[indices[0]])
-                requests = [_task_request(tasks[i]) for i in indices]
-                batch_results = chosen.run_batch(requests)
-                for index, result in zip(indices, batch_results):
-                    results[index] = result
-                batched.update(indices)
-                self.stats.batched += len(indices)
-                self.stats.batch_planned += _planned_rounds(batch_results)
-                self.stats.batch_chunks += _chunk_splits(batch_results)
-            for index, task in enumerate(tasks):
-                if index not in batched:
-                    results[index] = _execute_task(task, self.timeout)
-        else:
-            payloads = [(index, task, self.timeout) for index, task in enumerate(tasks)]
-            try:
-                for index, result in self._get_pool().map(_simulation_worker, payloads):
-                    results[index] = result
-            except BrokenProcessPool:
-                self.close()
-                raise
-        self.stats.total += len(tasks)
-        self.stats.executed += len(tasks)
-        self.stats.elapsed_seconds += self._observe_window(started)
-        return _require_complete(results, "run_simulations")
-
-    # ------------------------------------------------------------------
     # Declarative campaigns
     # ------------------------------------------------------------------
-    def _materialise_specs(self, run_specs: Sequence[RunSpec]):
-        """Build live tasks from specs, collecting infeasible cells."""
-        return materialise_specs(run_specs, self.stats)
-
     def run_campaign(self, spec: CampaignSpec) -> CampaignResult:
         """Expand ``spec`` into tasks, execute (with caching), aggregate.
 
@@ -807,47 +769,12 @@ class CampaignRunner:
         delta), so reusing one runner across campaigns never leaks the
         first campaign's counters into the second's report.
         """
-        before = self.stats.snapshot()
-        run_specs = spec.expand()
-        tasks, task_positions, failures = self._materialise_specs(run_specs)
-        records_by_index: Dict[int, RunRecord] = {
-            position: RunRecord.failure(
-                message,
-                key=run_spec.config_hash(),
-                cell=run_spec.cell(),
-                run_index=run_spec.run_index,
-                seed=run_spec.seed,
-            )
-            for position, (message, run_spec) in failures.items()
-        }
-        executed = self.run_tasks(tasks, capture_errors=True)
-        for position, record in zip(task_positions, executed):
-            records_by_index[position] = record
-        records = [records_by_index[position] for position in range(len(run_specs))]
-        return CampaignResult(spec=spec, records=records, stats=self.stats.since(before))
+        records, stats = self._campaign(spec, None)
+        return CampaignResult(spec=spec, records=records, stats=stats)
 
     def run_reduced_campaign(
         self, spec: CampaignSpec, reducer: Reducer
     ) -> ReducedCampaignResult:
         """Like :meth:`run_campaign`, but reducing inside the workers."""
-        before = self.stats.snapshot()
-        run_specs = spec.expand()
-        tasks, task_positions, failures = self._materialise_specs(run_specs)
-        records_by_index: Dict[int, ReducedRecord] = {
-            position: ReducedRecord.failure(
-                message,
-                reducer_name=reducer.name,
-                key=reduced_cache_key(run_spec.config_hash(), reducer),
-                cell=run_spec.cell(),
-                run_index=run_spec.run_index,
-                seed=run_spec.seed,
-            )
-            for position, (message, run_spec) in failures.items()
-        }
-        executed = self.run_reduced(tasks, reducer, capture_errors=True)
-        for position, record in zip(task_positions, executed):
-            records_by_index[position] = record
-        records = [records_by_index[position] for position in range(len(run_specs))]
-        return ReducedCampaignResult(
-            spec=spec, reducer=reducer, records=records, stats=self.stats.since(before)
-        )
+        records, stats = self._campaign(spec, reducer)
+        return ReducedCampaignResult(spec=spec, reducer=reducer, records=records, stats=stats)

@@ -34,15 +34,15 @@ replay where they cannot).  Every other run keeps its own per-run
 RNG-stream-exact :class:`~repro.adversary.plan.MaskPlanner`, called
 once per round per active run.  Either way fault schedules (and
 therefore the ``HO``/``SHO`` collections) are bit-for-bit identical to
-the other lockstep engines; the ``REPRO_BATCH_PLANNING`` environment
-knob (``off`` to disable) forces the per-run tier so CI can diff the
-two paths.  For :class:`~repro.adversary.base.ReliableAdversary`
+the other lockstep engines; the differential tests force the per-run
+tier through the private ``_BATCH_PLANNING`` switch to diff the two
+paths.  For :class:`~repro.adversary.base.ReliableAdversary`
 planning is free and the whole round is a single vectorised step.
 
 Reception has two representations.  Below ``n = 128`` it is the dense
 ``(runs, n, n)`` float32 matrix described above and counts come from the
-stacked ``matmul``.  At larger ``n`` (or with ``REPRO_BATCH_PACKED=on``)
-the engine switches to the *packed tier*: reception is carried as
+stacked ``matmul``.  From ``n = 128`` on the engine switches to the
+*packed tier*: reception is carried as
 ``(runs, n, ceil(n / 64))`` uint64 words in the
 :func:`~repro.core.heardof.pack_mask_rows` layout, senders of each value
 code pack into per-run bit-planes, and ``count(v heard by p)`` is
@@ -80,6 +80,7 @@ keys (``nan``).  Both are detected, never silently mis-executed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -121,9 +122,14 @@ def numpy_available() -> bool:
 
 
 #: Below this system size the packed tier's per-word bookkeeping costs
-#: more than the dense matmul it replaces; ``REPRO_BATCH_PACKED=auto``
-#: switches representations here.
-_PACKED_AUTO_MIN_N = 128
+#: more than the dense matmul it replaces, so groups stay dense.  Tests
+#: patch it (to 0, or past any ``n``) to pin both tiers against each other.
+_PACKED_MIN_N = 128
+
+#: Whether run groups may plan through registered batch planners.  Tests
+#: patch it off to force every run onto its per-run planner (the
+#: vectorised kernel stays) and diff the two paths byte for byte.
+_BATCH_PLANNING = True
 
 if np is not None and not hasattr(np, "bitwise_count"):
     # Pre-2.x NumPy has no popcount ufunc: count per byte through a
@@ -147,18 +153,12 @@ def _word_counts(words: "np.ndarray") -> "np.ndarray":
 def _packed_tier(n: int) -> bool:
     """Whether groups of size ``n`` execute on the packed uint64 tier.
 
-    ``REPRO_BATCH_PACKED`` forces the answer (``on``/``off``); the
-    default ``auto`` packs from ``n >= 128``, where reception words are
-    ~256x smaller than the dense float matrix, and stays dense below it,
-    where the matmul kernel is faster.  Both tiers are byte-identical —
-    the differential grid pins them against each other.
+    Packs from ``n >= 128``, where reception words are ~256x smaller
+    than the dense float matrix, and stays dense below it, where the
+    matmul kernel is faster.  Both tiers are byte-identical — the
+    differential grid pins them against each other.
     """
-    mode = os.environ.get("REPRO_BATCH_PACKED", "auto").strip().lower()
-    if mode in {"on", "1", "yes", "true"}:
-        return True
-    if mode in {"off", "0", "no", "false"}:
-        return False
-    return n >= _PACKED_AUTO_MIN_N
+    return n >= _PACKED_MIN_N
 
 
 def _memory_budget_bytes() -> Optional[int]:
@@ -166,7 +166,9 @@ def _memory_budget_bytes() -> Optional[int]:
 
     Accepts a plain byte count or a ``k``/``m``/``g`` suffix
     (``512m``, ``2g``).  Unset, empty or non-positive means no budget:
-    every group executes as one sweep.
+    every group executes as one sweep.  Anything else — words, ``nan``,
+    ``inf`` or a count that overflows a float (``1e400``) — raises
+    :class:`ValueError`.
     """
     raw = os.environ.get("REPRO_BATCH_MEMORY_BUDGET", "").strip().lower()
     if not raw:
@@ -176,13 +178,15 @@ def _memory_budget_bytes() -> Optional[int]:
         scale = {"k": 1024, "m": 1024**2, "g": 1024**3}[raw[-1]]
         raw = raw[:-1].strip()
     try:
-        value = float(raw)
+        value = float(raw) * scale
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ValueError(
             "REPRO_BATCH_MEMORY_BUDGET must be a byte count with an "
             f"optional k/m/g suffix, got {os.environ['REPRO_BATCH_MEMORY_BUDGET']!r}"
-        ) from None
-    budget = int(value * scale)
+        )
+    budget = int(value)
     return budget if budget > 0 else None
 
 
@@ -610,22 +614,6 @@ class _BatchUteKernel(_BatchKernel):
 _BATCH_KERNELS = {"ate": _BatchAteKernel, "ute": _BatchUteKernel}
 
 
-def _batch_planning_enabled() -> bool:
-    """Whether run groups may plan through registered batch planners.
-
-    On by default; set the ``REPRO_BATCH_PLANNING`` environment
-    variable to ``off`` (or ``0``/``no``/``false``) to force every run
-    onto its per-run planner while keeping the vectorised kernel — the
-    CI equivalence smoke diffs the two paths byte-for-byte.
-    """
-    return os.environ.get("REPRO_BATCH_PLANNING", "on").strip().lower() not in {
-        "off",
-        "0",
-        "no",
-        "false",
-    }
-
-
 def _rows_from_words(words: "np.ndarray") -> List[List[int]]:
     """Per-member, per-receiver HO mask ints from ``(m, n, W)`` uint64 words.
 
@@ -680,7 +668,7 @@ def _run_group(
     # (and therefore per-member RNG consumption) are deterministic.
     batch_parts: List[Tuple[BatchPlanner, List[int]]] = []
     is_batch_planned = [False] * runs
-    if _batch_planning_enabled():
+    if _BATCH_PLANNING:
         by_class: Dict[type, List[int]] = {}
         for index, request in enumerate(requests):
             by_class.setdefault(type(request.adversary), []).append(index)

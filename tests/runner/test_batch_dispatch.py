@@ -78,6 +78,17 @@ class FailingBatchBackend:
         raise RuntimeError("batch aborted mid-flight")
 
 
+class BrokenRunBackend(FailingBatchBackend):
+    """Aborts as a batch, and the seed-1 run fails again when retried alone."""
+
+    name = "broken-run"
+
+    def run(self, algorithm, initial_values, adversary, config, observers, spec):
+        if adversary.seed == 1:
+            raise RuntimeError("run exploded")
+        return super().run(algorithm, initial_values, adversary, config, observers, spec)
+
+
 class TestRunTasksBatching:
     def test_records_byte_identical_and_counted(self):
         tasks = [make_task(seed=s) for s in range(8)]
@@ -172,28 +183,75 @@ class TestBatchFailureRecovery:
         assert runner.stats.batched == 3
         assert dump(records) == dump(reference)
 
+    def test_failed_batch_in_run_simulations(self):
+        backend = FailingBatchBackend()
+        reference = CampaignRunner(backend="reference").run_simulations(
+            [make_task(seed=s) for s in range(3)]
+        )
+        runner = CampaignRunner()
+        results = runner.run_simulations([make_task(seed=s, backend=backend) for s in range(3)])
+        assert runner.stats.batched == 3
+        for expected, actual in zip(reference, results):
+            assert expected.outcome == actual.outcome
+            assert expected.rounds_executed == actual.rounds_executed
 
+    def test_failed_batch_recovers_in_pool_workers(self):
+        backend = FailingBatchBackend()
+        reference = CampaignRunner(backend="reference").run_tasks(
+            [make_task(seed=s) for s in range(4)]
+        )
+        with CampaignRunner(jobs=2) as runner:
+            records = runner.run_tasks([make_task(seed=s, backend=backend) for s in range(4)])
+            assert runner.stats.batched == 4
+        assert dump(records) == dump(reference)
+
+    def test_retry_isolates_the_failing_run(self):
+        """After the batch aborts, only the run that fails on its own
+        becomes a failure record; its neighbours match per-run output."""
+        backend = BrokenRunBackend()
+        reference = CampaignRunner(backend="reference").run_tasks(
+            [make_task(seed=s) for s in range(3)]
+        )
+        runner = CampaignRunner()
+        records = runner.run_tasks(
+            [make_task(seed=s, backend=backend) for s in range(3)], capture_errors=True
+        )
+        assert [record.ok for record in records] == [True, False, True]
+        assert "run exploded" in records[1].error
+        assert dump([records[0], records[2]]) == dump([reference[0], reference[2]])
+        assert runner.stats.failures == 1
+
+    def test_run_error_after_failed_batch_propagates_from_run_simulations(self):
+        backend = BrokenRunBackend()
+        with pytest.raises(RuntimeError, match="run exploded"):
+            CampaignRunner().run_simulations(
+                [make_task(seed=s, backend=backend) for s in range(3)]
+            )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 class TestRunReducedBatching:
-    def test_reduced_records_byte_identical(self):
+    def test_reduced_records_byte_identical(self, jobs):
         tasks = [make_task(seed=s, key=f"red/{s}") for s in range(6)]
         reference = CampaignRunner(backend="reference").run_reduced(
             [make_task(seed=s, key=f"red/{s}") for s in range(6)], DecisionReducer()
         )
-        runner = CampaignRunner(backend="batch")
-        records = runner.run_reduced(tasks, DecisionReducer())
+        with CampaignRunner(backend="batch", jobs=jobs) as runner:
+            records = runner.run_reduced(tasks, DecisionReducer())
+            assert runner.stats.batched == len(tasks)
         assert dump(records) == dump(reference)
-        assert runner.stats.batched == 6
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 class TestRunSimulationsBatching:
-    def test_results_match_reference(self):
+    def test_results_match_reference(self, jobs):
         tasks = [make_task(seed=s) for s in range(5)]
         reference = CampaignRunner(backend="reference").run_simulations(
             [make_task(seed=s) for s in range(5)]
         )
-        runner = CampaignRunner(backend="batch")
-        results = runner.run_simulations(tasks)
-        assert runner.stats.batched == 5
+        with CampaignRunner(backend="batch", jobs=jobs) as runner:
+            results = runner.run_simulations(tasks)
+            assert runner.stats.batched == len(tasks)
         for expected, actual in zip(reference, results):
             assert actual.metadata.get("engine") == "batch"
             assert expected.outcome == actual.outcome

@@ -472,6 +472,36 @@ class TestSubmitterSemantics:
             record.as_dict() for record in distributed.records
         ]
 
+    @pytest.mark.parametrize("reduced", [False, True], ids=["records", "reduced"])
+    def test_infeasible_cell_records_match_serial(self, tmp_path, reduced):
+        """A feasible and an infeasible cell side by side: both campaign
+        paths put the failure records in place, identical to serial."""
+        spec = CampaignSpec(
+            campaign_id="dist-infeasible",
+            algorithms=[AlgorithmSpec("ate", {"alpha": 1}), AlgorithmSpec("no-such-algorithm")],
+            adversaries=[AdversarySpec("reliable")],
+            ns=[4],
+            runs=2,
+            max_rounds=5,
+        )
+        reducer = DecisionReducer() if reduced else None
+        runner = DistributedCampaignRunner(tmp_path / "queue", batch_size=4, wait_timeout=30)
+        assert runner.submit_campaign(spec, reducer) is not None
+        worker = Worker(WorkQueue(tmp_path / "queue"), worker_id="inline", ttl=30)
+        assert worker.run_once() > 0
+        worker.close()
+
+        if reducer is None:
+            serial = CampaignRunner().run_campaign(spec)
+            distributed = runner.run_campaign(spec)
+        else:
+            serial = CampaignRunner().run_reduced_campaign(spec, reducer)
+            distributed = runner.run_reduced_campaign(spec, reducer)
+        records = [record.as_dict() for record in distributed.records]
+        assert records == [record.as_dict() for record in serial.records]
+        assert [record["error"] is None for record in records] == [True, True, False, False]
+        assert distributed.stats.failures == serial.stats.failures == 2
+
 
 class TestCampaignCliExitCodes:
     def _spec_file(self, tmp_path, spec):

@@ -1,15 +1,13 @@
-"""The observability surface: `repro-ho status`, hardening, trend scaling.
+"""The observability surface: `repro-ho status`, hardening, scale metrics.
 
 Covers the pure text renderer (golden-tested with COLUMNS pinned to
 prove terminal independence), the status CLI's JSON contract, the
 fleet_metrics mid-scan hardening (concurrently deleted / truncated
-files must degrade, never raise), and the opt-in EWMA trend scaling
-policy.
+files must degrade, never raise), and the supervisor's scale-event
+counters and worker gauges.
 """
 
 import json
-
-import pytest
 
 from repro.cli import main, render_fleet_status
 from repro.runner import Supervisor, Worker, WorkQueue, fleet_status, task_from_spec
@@ -302,79 +300,24 @@ class _FakeProc:
         self.terminated = True
 
 
-class TestTrendScaling:
-    def make(self, tmp_path, **kwargs):
-        return Supervisor(
-            WorkQueue(tmp_path),
-            max_workers=8,
-            spawn=lambda worker_id: _FakeProc(),
-            scale_on_trend=True,
-            trend_horizon=10.0,
-            **kwargs,
+class TestSupervisorScaleMetrics:
+    def test_poll_once_spawns_and_counts(self, tmp_path, monkeypatch):
+        supervisor = Supervisor(
+            WorkQueue(tmp_path), max_workers=8, spawn=lambda worker_id: _FakeProc()
         )
-
-    @staticmethod
-    def metrics(claimable=0, deposits=0):
-        return {
-            "pending_batches": 1 if claimable else 0,
-            "claimable_units": claimable,
-            "unclaimed_units": claimable,
-            "live_leases": {},
-            "deposited_parts": deposits,
-        }
-
-    def test_falls_back_until_a_rate_exists(self, tmp_path):
-        supervisor = self.make(tmp_path)
-        demand = supervisor._trend_demand(self.metrics(claimable=5), busy=0, fallback=5)
-        assert demand == 5  # no EWMA yet: instantaneous policy
-
-    def test_drained_backlog_keeps_busy_workers(self, tmp_path):
-        supervisor = self.make(tmp_path)
-        supervisor._deposit_rate_ewma = 3.0
-        assert supervisor._trend_demand(self.metrics(claimable=0), busy=2, fallback=7) == 2
-
-    def test_sizes_fleet_to_clear_backlog_within_horizon(self, tmp_path, monkeypatch):
-        supervisor = self.make(tmp_path)
-        clock = {"now": 100.0}
         monkeypatch.setattr(
-            "repro.runner.distributed.time.monotonic", lambda: clock["now"]
-        )
-        supervisor._trend_demand(self.metrics(claimable=25, deposits=0), 2, 25)
-        clock["now"] = 110.0
-        # 20 deposits over 10s by 2 busy workers -> 1 unit/s per worker;
-        # clearing 25 units within a 10s horizon needs ceil(25/10) = 3.
-        demand = supervisor._trend_demand(self.metrics(claimable=25, deposits=20), 2, 25)
-        assert supervisor._deposit_rate_ewma == pytest.approx(2.0)
-        assert demand == 3
-
-    def test_ewma_smooths_rate_spikes(self, tmp_path, monkeypatch):
-        supervisor = self.make(tmp_path, trend_alpha=0.5)
-        clock = {"now": 0.0}
-        monkeypatch.setattr(
-            "repro.runner.distributed.time.monotonic", lambda: clock["now"]
-        )
-        deposits = 0
-        for rate in (10, 10, 0):  # a stall after steady throughput
-            clock["now"] += 10.0
-            deposits += rate
-            supervisor._trend_demand(self.metrics(claimable=50, deposits=deposits), 1, 50)
-        # The first poll only seeds the baseline; the folded rates are
-        # 1.0 then 0.0, so alpha=0.5 smooths the stall to 0.5, not 0.
-        assert supervisor._deposit_rate_ewma == pytest.approx(0.5)
-
-    def test_demand_is_clamped_to_backlog(self, tmp_path):
-        supervisor = self.make(tmp_path)
-        supervisor._deposit_rate_ewma = 0.001  # nearly stalled fleet
-        demand = supervisor._trend_demand(self.metrics(claimable=4), busy=1, fallback=4)
-        assert demand == 4  # never asks for more workers than units
-
-    def test_poll_once_with_trend_flag_spawns_and_counts(self, tmp_path, monkeypatch):
-        supervisor = self.make(tmp_path, min_workers=0)
-        monkeypatch.setattr(
-            supervisor.queue, "fleet_metrics", lambda: self.metrics(claimable=3)
+            supervisor.queue,
+            "fleet_metrics",
+            lambda: {
+                "pending_batches": 1,
+                "claimable_units": 3,
+                "unclaimed_units": 3,
+                "live_leases": {},
+                "deposited_parts": 0,
+            },
         )
         status = supervisor.poll_once()
-        assert status["target"] == 3  # fallback path (no rate yet)
+        assert status["target"] == 3  # depth policy: unclaimed units + busy workers
         assert len(supervisor.workers) == 3
         flat = supervisor.queue.metrics.flat_values()
         assert flat['repro_supervisor_scale_events_total{direction="up"}'] == 1

@@ -18,6 +18,7 @@ from repro.algorithms import AteAlgorithm
 from repro.core.predicates import AlphaSafePredicate
 from repro.runner import CampaignRunner, DecisionReducer, RunTask
 from repro.simulation import SimulationConfig, run_simulation
+from repro.simulation import batch_engine
 from repro.simulation.batch_engine import SimulationRequest, run_algorithm_batch
 from repro.workloads import generators
 from test_fast_engine_differential import (
@@ -204,11 +205,11 @@ class TestBatchPlanning:
         ]
 
     def test_planning_knob_off_matches_on(self, monkeypatch):
-        """``REPRO_BATCH_PLANNING=off`` falls back to per-run mask
-        planning inside the batch engine; the produced collections must
-        be byte-identical to the batch-planned path."""
+        """With batch planning switched off the engine falls back to
+        per-run mask planning; the produced collections must be
+        byte-identical to the batch-planned path."""
         planned = run_algorithm_batch(self._sweep())
-        monkeypatch.setenv("REPRO_BATCH_PLANNING", "off")
+        monkeypatch.setattr(batch_engine, "_BATCH_PLANNING", False)
         fallback = run_algorithm_batch(self._sweep())
         for on_result, off_result in zip(planned, fallback):
             assert_equivalent(on_result, off_result)
@@ -275,9 +276,9 @@ class TestPackedTierAndChunking:
     def test_large_n_packed_matches_dense(self, monkeypatch, adversary_name):
         """n = 256 sampled tier: force the dense tier, then the packed
         tier, and require byte-identical collections and outcomes."""
-        monkeypatch.setenv("REPRO_BATCH_PACKED", "off")
+        monkeypatch.setattr(batch_engine, "_PACKED_MIN_N", 10**9)
         dense = run_algorithm_batch(self._sweep(256, adversary_name))
-        monkeypatch.setenv("REPRO_BATCH_PACKED", "on")
+        monkeypatch.setattr(batch_engine, "_PACKED_MIN_N", 0)
         packed = run_algorithm_batch(self._sweep(256, adversary_name))
         for dense_result, packed_result in zip(dense, packed):
             assert_equivalent(dense_result, packed_result)
@@ -285,18 +286,18 @@ class TestPackedTierAndChunking:
     @pytest.mark.parametrize("adversary_name", sorted(ADVERSARIES))
     def test_small_n_packed_matches_dense(self, monkeypatch, adversary_name):
         """Every grid family at n = 10 with the packed tier forced on
-        (auto would stay dense below n = 128)."""
+        (groups stay dense below n = 128 by default)."""
         dense = run_algorithm_batch(self._sweep(10, adversary_name, seeds=3))
-        monkeypatch.setenv("REPRO_BATCH_PACKED", "on")
+        monkeypatch.setattr(batch_engine, "_PACKED_MIN_N", 0)
         packed = run_algorithm_batch(self._sweep(10, adversary_name, seeds=3))
         for dense_result, packed_result in zip(dense, packed):
             assert_equivalent(dense_result, packed_result)
 
-    @pytest.mark.parametrize("packed_mode", ["on", "off"])
-    def test_large_n_chunked_matches_unchunked(self, monkeypatch, packed_mode):
+    @pytest.mark.parametrize("packed_min_n", [0, 10**9], ids=["on", "off"])
+    def test_large_n_chunked_matches_unchunked(self, monkeypatch, packed_min_n):
         """A budget small enough to split the run axis must not change a
         byte, and the split must be visible in the chunk markers."""
-        monkeypatch.setenv("REPRO_BATCH_PACKED", packed_mode)
+        monkeypatch.setattr(batch_engine, "_PACKED_MIN_N", packed_min_n)
         whole = run_algorithm_batch(self._sweep(256, "random-omission", seeds=4))
         monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "100k")
         chunked = run_algorithm_batch(self._sweep(256, "random-omission", seeds=4))
@@ -340,6 +341,7 @@ class TestPackedTierAndChunking:
         assert _memory_budget_bytes() == 512 * 1024
         monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "0")
         assert _memory_budget_bytes() is None
-        monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "lots")
-        with pytest.raises(ValueError, match="REPRO_BATCH_MEMORY_BUDGET"):
-            _memory_budget_bytes()
+        for bad in ("lots", "inf", "1e400", "nan"):
+            monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", bad)
+            with pytest.raises(ValueError, match="REPRO_BATCH_MEMORY_BUDGET must be a byte count"):
+                _memory_budget_bytes()
