@@ -1,27 +1,30 @@
 """Native batch planners: whole fault schedules, array-at-a-time.
 
 Each planner here is the batch-tier sibling of a native
-:class:`~repro.adversary.plan.MaskPlanner`: it plans one round for
-*every* live run of its adversary class in a single call, returning the
-array-form :class:`~repro.adversary.plan.BatchRoundPlan` the batch
-engine consumes directly.  The correctness bar is unchanged — each
-member's RNG stream is consumed in exactly the order its per-run
-planner (and therefore the matrix-level ``deliver_round``) would
-consume it, so the produced records stay byte-identical across
-backends:
+:class:`~repro.adversary.plan.MaskPlanner` whose draws vectorise: it
+plans one round for *every* live run of its adversary class in a single
+call, returning the array-form
+:class:`~repro.adversary.plan.BatchRoundPlan` the batch engine
+consumes.  Only three classes have one — reliable, random omission and
+random corruption; every other class (rotating-sender and block faults
+included) plans per run behind the engine's adapter, which emits the
+same format.  The correctness bar is unchanged — each member's RNG
+stream is consumed in exactly the order its per-run planner (and
+therefore the matrix-level ``deliver_round``) would consume it, so the
+produced records stay byte-identical across backends:
 
 * Draw patterns with data-independent word consumption (the per-edge
   uniforms of random omission) go through the
   :class:`~repro.adversary.rng_bridge.RngBridge`, which advances the
   member's MT19937 state NumPy-side bit-exactly.
-* Everything else (``randint``/``sample`` rejection loops,
-  ``corrupt_value`` choices) replays scalar-side on the member's own
-  ``random.Random`` — those planners still win by emitting COO edge
-  arrays the engine scatters in bulk instead of per-bit mask walks.
+* Random corruption's ``randint``/``sample`` rejection loops and
+  ``corrupt_value`` choices replay over a
+  :class:`~repro.adversary.rng_bridge.WordStream`, in array form for
+  the common configuration and draw by draw otherwise, and come out as
+  COO edge arrays the engine scatters in bulk.
 
 This module imports NumPy unconditionally; :mod:`repro.adversary.plan`
-guards the import, so without NumPy nothing registers and every class
-falls back to per-run planning.
+guards the import, so without NumPy nothing registers.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ import numpy as np
 
 from repro.adversary.base import Adversary, ReliableAdversary
 from repro.adversary.benign import RandomOmissionAdversary
-from repro.adversary.corruption import (
-    RandomCorruptionAdversary,
-    RotatingSenderCorruptionAdversary,
-)
+from repro.adversary.corruption import RandomCorruptionAdversary
 from repro.adversary.plan import BatchPlanner, BatchRoundPlan, register_batch_planner
 from repro.adversary.rng_bridge import (
     RngBridge,
@@ -44,8 +44,7 @@ from repro.adversary.rng_bridge import (
     chain_walk_many_array,
     word_replay_matches,
 )
-from repro.adversary.santoro_widmayer import BlockFaultAdversary
-from repro.adversary.values import DEFAULT_POISON_VALUES, corrupt_value
+from repro.adversary.values import DEFAULT_POISON_VALUES
 from repro.core.heardof import pack_mask_rows, words_per_mask
 from repro.core.process import Payload
 
@@ -490,117 +489,8 @@ if word_replay_matches():
     register_batch_planner(RandomCorruptionAdversary, RandomCorruptionBatchPlanner)
 
 
-@register_batch_planner(RotatingSenderCorruptionAdversary)
-class RotatingCorruptionBatchPlanner(BatchPlanner):
-    """Batched :class:`RotatingSenderCorruptionAdversary`.
-
-    The rotation is deterministic; only the injected payloads consume
-    randomness, replayed scalar-side in the per-run order (sender-major
-    per-edge draws when equivocating, one fresh per-(round, sender) RNG
-    otherwise).  Non-equivocating mode fills a whole receiver column
-    per corrupted sender from a single draw.
-    """
-
-    def plan_rounds(
-        self,
-        round_num: int,
-        sent: Sequence[Sequence[Payload]],
-        live: Sequence[int],
-        encode: Callable[[Payload], int],
-        codes: Any = None,
-        values: Any = None,
-    ) -> BatchRoundPlan:
-        n = self.n
-        edges = _EdgeBuffer()
-        for pos, j in enumerate(live):
-            adversary = self.adversaries[j]
-            alpha = adversary.alpha
-            if n == 0 or alpha == 0:
-                continue
-            count = min(alpha, n)
-            start = ((round_num - 1) * count) % n
-            corrupted = sorted(((start + offset) % n) for offset in range(count))
-            row = sent[pos]
-            domain = adversary.value_domain
-            if adversary.equivocate:
-                for sender in corrupted:
-                    payload = row[sender]
-                    for receiver in range(n):
-                        edges.add(
-                            pos,
-                            receiver,
-                            sender,
-                            encode(corrupt_value(adversary.rng, payload, domain)),
-                        )
-            else:
-                for sender in corrupted:
-                    code = encode(
-                        corrupt_value(adversary.rng_for(round_num, sender), row[sender], domain)
-                    )
-                    for receiver in range(n):
-                        edges.add(pos, receiver, sender, code)
-        return BatchRoundPlan(corrupt=edges.corrupt())
-
-
-@register_batch_planner(BlockFaultAdversary)
-class BlockFaultBatchPlanner(BatchPlanner):
-    """Batched Santoro–Widmayer :class:`BlockFaultAdversary`.
-
-    Victim selection and the affected-receiver rotation are
-    deterministic; ``mode="drop"`` plans entirely RNG-free via one
-    fancy-index scatter per member, ``mode="corrupt"`` replays the
-    per-affected-receiver ``corrupt_value`` draws in ascending order.
-    """
-
-    def plan_rounds(
-        self,
-        round_num: int,
-        sent: Sequence[Sequence[Payload]],
-        live: Sequence[int],
-        encode: Callable[[Payload], int],
-        codes: Any = None,
-        values: Any = None,
-    ) -> BatchRoundPlan:
-        n = self.n
-        if n == 0:
-            return _PERFECT_PLAN
-        edges = _EdgeBuffer()
-        drop_words: Optional[np.ndarray] = None
-        for pos, j in enumerate(live):
-            adversary = self.adversaries[j]
-            victim = adversary.victim_of_round(round_num, range(n))
-            if not 0 <= victim < n:
-                continue
-            if adversary.faults_per_round is None:
-                affected: Sequence[int] = range(n)
-            else:
-                count = min(adversary.faults_per_round, n)
-                start = (round_num - 1) % n
-                affected = sorted(((start + offset) % n) for offset in range(count))
-            if adversary.mode == "drop":
-                if drop_words is None:
-                    drop_words = np.zeros((len(live), n, words_per_mask(n)), dtype=np.uint64)
-                # One victim per member: every affected receiver sets the
-                # same bit of the same word, so a fancy-index |= suffices
-                # (the receiver indices are distinct).
-                drop_words[pos, list(affected), victim >> 6] |= np.uint64(1 << (victim & 63))
-            else:
-                payload = sent[pos][victim]
-                domain = adversary.value_domain
-                for receiver in affected:  # ascending: the fate-call order
-                    edges.add(
-                        pos,
-                        receiver,
-                        victim,
-                        encode(corrupt_value(adversary.rng, payload, domain)),
-                    )
-        return BatchRoundPlan(drop_words=drop_words, corrupt=edges.corrupt())
-
-
 __all__ = [
     "ReliableBatchPlanner",
     "RandomOmissionBatchPlanner",
     "RandomCorruptionBatchPlanner",
-    "RotatingCorruptionBatchPlanner",
-    "BlockFaultBatchPlanner",
 ]

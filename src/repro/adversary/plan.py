@@ -26,18 +26,18 @@ Two kinds of planner exist:
 Use :func:`planner_for` to get the best available planner for an
 adversary; :func:`register_planner` extends the native registry.
 
-A third, optional tier sits above both: a :class:`BatchPlanner` plans
-whole rounds for *many* runs of the same adversary class at once, in
-array form, for the batch engine
-(:mod:`repro.simulation.batch_engine`).  Batch planners keep the same
-bit-exactness contract as native planners — each run's RNG stream is
-consumed in exactly the per-run order, via the
-:mod:`~repro.adversary.rng_bridge` where draws vectorise — and they are
-pure acceleration: :func:`batch_planner_for` answers ``None`` for
-unregistered classes and callers fall back to per-run
-:func:`planner_for`.  The native implementations live in
-:mod:`repro.adversary.batch_plan` and register only when NumPy is
-importable.
+The batch engine (:mod:`repro.simulation.batch_engine`) consumes one
+plan format, :class:`BatchRoundPlan`: a round's fault schedule for
+*many* runs of one adversary class, in array form.  A
+:class:`BatchPlanner` produces it.  Registered batch planners (reliable,
+random omission and random corruption, in
+:mod:`repro.adversary.batch_plan`; they register only when NumPy is
+importable) plan array-at-a-time and keep the same bit-exactness
+contract as native planners — each run's RNG stream is consumed in
+exactly the per-run order, via the :mod:`~repro.adversary.rng_bridge`
+where draws vectorise.  :func:`batch_planner_for` answers ``None`` for
+every other class, whose runs the engine plans per run through
+:func:`planner_for` behind an adapter that emits the same format.
 """
 
 from __future__ import annotations
@@ -487,15 +487,12 @@ def planner_for(adversary: Adversary, n: int) -> MaskPlanner:
 class BatchRoundPlan:
     """One round's fault schedule for every live member of a batch, in array form.
 
-    ``drop`` is either ``None`` (no member drops anything this round) or
-    a ``(m, n, n)`` boolean array indexed ``[member, receiver, sender]``
-    over the ``m`` live members the planner was asked about.
-    ``drop_words`` is the packed-word alternative: a
-    ``(m, n, ceil(n/64))`` uint64 array in the little-endian layout of
+    ``drop_words`` is either ``None`` (no member drops anything this
+    round) or a ``(m, n, ceil(n/64))`` uint64 array indexed
+    ``[member, receiver, word]`` over the ``m`` live members the planner
+    was asked about, in the little-endian layout of
     :func:`repro.core.heardof.pack_mask_rows` (bit ``s & 63`` of word
-    ``s >> 6`` set iff sender ``s`` is dropped), which never
-    materialises the dense ``n x n`` intermediate — planners set at
-    most one of the two forms and the engine consumes either.
+    ``s >> 6`` set iff sender ``s`` is dropped).
     ``corrupt`` is either ``None`` or four parallel sequences (lists or
     integer arrays) ``(member, receiver, sender, code)`` — one entry per
     corrupted edge, with the replacement payload already encoded through
@@ -508,7 +505,6 @@ class BatchRoundPlan:
     import without NumPy, and the batch engine is the only consumer.
     """
 
-    drop: Any = None
     drop_words: Any = None
     corrupt: Optional[Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]] = None
 
@@ -578,7 +574,8 @@ BatchPlannerFactory = Callable[[Sequence[Adversary], int], BatchPlanner]
 
 #: Batch planners, keyed by *exact* adversary class like
 #: :data:`_NATIVE_PLANNERS` (subclasses may change delivery semantics,
-#: so they stay on the per-run path).
+#: so they stay on the per-run path).  Tests empty it to force every
+#: class onto per-run planning.
 _BATCH_PLANNERS: Dict[Type[Adversary], BatchPlannerFactory] = {}
 
 #: Filled after the built-in registrations at the bottom of this
@@ -616,31 +613,6 @@ def register_batch_planner(
     return _register(factory)
 
 
-def get_batch_planner_factory(
-    adversary_type: Union[Type[Adversary], str]
-) -> BatchPlannerFactory:
-    """Look up a registered batch planner, with a did-you-mean on typos.
-
-    Accepts the adversary class or its name; raises :class:`ValueError`
-    when no batch planner exists (note :func:`batch_planner_for` never
-    raises — it answers ``None`` and callers fall back per run).
-    """
-    if isinstance(adversary_type, str):
-        by_name = {cls.__name__: cls for cls in _BATCH_PLANNERS}
-        cls = by_name.get(adversary_type)
-        if cls is None:
-            raise unknown_key_error("batch planner", adversary_type, by_name)
-        return _BATCH_PLANNERS[cls]
-    factory = _BATCH_PLANNERS.get(adversary_type)
-    if factory is None:
-        raise unknown_key_error(
-            "batch planner",
-            adversary_type.__name__,
-            (cls.__name__ for cls in _BATCH_PLANNERS),
-        )
-    return factory
-
-
 def batch_planner_for(adversaries: Sequence[Adversary], n: int) -> Optional[BatchPlanner]:
     """One batch planner over same-class ``adversaries``, or ``None``.
 
@@ -662,8 +634,8 @@ def batch_planner_for(adversaries: Sequence[Adversary], n: int) -> Optional[Batc
 
 
 # The native batch planners need NumPy (they stack RNG-bridge blocks
-# into arrays); without it nothing registers and every adversary class
-# stays on the per-run planner path.
+# into arrays); without it nothing registers, and the batch engine
+# (which needs NumPy too) never runs.
 try:
     from repro.adversary import batch_plan as _batch_plan  # noqa: F401,E402
 except ImportError:  # pragma: no cover - exercised by the numpy-less CI leg

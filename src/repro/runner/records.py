@@ -10,7 +10,7 @@ cache stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.predicates import CommunicationPredicate
@@ -187,47 +187,18 @@ class RunnerStats:
 
     def snapshot(self) -> "RunnerStats":
         """A copy of the current counters (for per-campaign deltas)."""
-        return RunnerStats(
-            total=self.total,
-            executed=self.executed,
-            batched=self.batched,
-            batch_planned=self.batch_planned,
-            batch_chunks=self.batch_chunks,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            failures=self.failures,
-            timeouts=self.timeouts,
-            elapsed_seconds=self.elapsed_seconds,
-        )
+        return replace(self)
 
     def since(self, earlier: "RunnerStats") -> "RunnerStats":
         """The counters accrued since ``earlier`` was snapshotted."""
         return RunnerStats(
-            total=self.total - earlier.total,
-            executed=self.executed - earlier.executed,
-            batched=self.batched - earlier.batched,
-            batch_planned=self.batch_planned - earlier.batch_planned,
-            batch_chunks=self.batch_chunks - earlier.batch_chunks,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            cache_misses=self.cache_misses - earlier.cache_misses,
-            failures=self.failures - earlier.failures,
-            timeouts=self.timeouts - earlier.timeouts,
-            elapsed_seconds=self.elapsed_seconds - earlier.elapsed_seconds,
+            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
         )
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "total": self.total,
-            "executed": self.executed,
-            "batched": self.batched,
-            "batch_planned": self.batch_planned,
-            "batch_chunks": self.batch_chunks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
+        data: Dict[str, object] = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["elapsed_seconds"] = round(self.elapsed_seconds, 3)
+        return data
 
     def counter_items(self) -> List[tuple]:
         """The integer counters as ``(name, value)`` pairs, in field order.
@@ -239,45 +210,27 @@ class RunnerStats:
         hard-coding the field list in two places.
         """
         return [
-            ("total", self.total),
-            ("executed", self.executed),
-            ("batched", self.batched),
-            ("batch_planned", self.batch_planned),
-            ("batch_chunks", self.batch_chunks),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("failures", self.failures),
-            ("timeouts", self.timeouts),
+            (f.name, getattr(self, f.name)) for f in fields(self) if f.name != "elapsed_seconds"
         ]
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunnerStats":
-        """Rebuild stats shipped as JSON (distributed batch results)."""
+        """Rebuild stats shipped as JSON (distributed batch results).
+
+        Missing keys read as zero, so payloads written before a counter
+        existed still load.
+        """
         return cls(
-            total=int(data.get("total", 0)),
-            executed=int(data.get("executed", 0)),
-            batched=int(data.get("batched", 0)),
-            batch_planned=int(data.get("batch_planned", 0)),
-            batch_chunks=int(data.get("batch_chunks", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            failures=int(data.get("failures", 0)),
-            timeouts=int(data.get("timeouts", 0)),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
+            **{
+                f.name: (float if isinstance(f.default, float) else int)(data.get(f.name, 0))
+                for f in fields(cls)
+            }
         )
 
     def merge(self, other: "RunnerStats") -> None:
         """Fold another stats delta into this one, in place."""
-        self.total += other.total
-        self.executed += other.executed
-        self.batched += other.batched
-        self.batch_planned += other.batch_planned
-        self.batch_chunks += other.batch_chunks
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.failures += other.failures
-        self.timeouts += other.timeouts
-        self.elapsed_seconds += other.elapsed_seconds
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def summary(self) -> str:
         parts = [

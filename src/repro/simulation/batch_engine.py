@@ -10,7 +10,7 @@ runs *simultaneously*:
   *value codes* (a per-group codebook maps arbitrary hashable payloads
   to dense codes and back);
 * reception is a ``(runs, n, n)`` boolean matrix built from the packed
-  HO bitmasks of each run's :class:`~repro.adversary.plan.RoundPlan`;
+  drop words of each round's :class:`~repro.adversary.plan.BatchRoundPlan`;
 * the ``A_{T,E}`` and ``U_{T,E,alpha}`` step kernels are vectorised
   across the run axis — received-multiset counts come from one stacked
   ``matmul`` of the reception matrix with one-hot sent codes, sparse
@@ -22,22 +22,27 @@ runs *simultaneously*:
   have all decided stops planning rounds, stops appending records and
   is never mutated again, exactly like its single-run execution.
 
-Adversary planning is two-tier.  Runs whose exact adversary class has
-a registered :class:`~repro.adversary.plan.BatchPlanner` are planned
-*array-at-a-time*: one planner instance covers every such run in the
-group, producing per-round drop bit-matrices and corrupt-edge COO
-arrays that this engine consumes directly — ``HO`` masks come out of
-one :func:`numpy.packbits` pass and reception rows are scattered in
-bulk, with each run's RNG stream still consumed bit-exactly (via the
-:mod:`~repro.adversary.rng_bridge` where draws vectorise, scalar
-replay where they cannot).  Every other run keeps its own per-run
-RNG-stream-exact :class:`~repro.adversary.plan.MaskPlanner`, called
-once per round per active run.  Either way fault schedules (and
-therefore the ``HO``/``SHO`` collections) are bit-for-bit identical to
-the other lockstep engines; the differential tests force the per-run
-tier through the private ``_BATCH_PLANNING`` switch to diff the two
-paths.  For :class:`~repro.adversary.base.ReliableAdversary`
-planning is free and the whole round is a single vectorised step.
+Adversary planning has one format.  Each exact adversary class in a
+group is planned by one :class:`~repro.adversary.plan.BatchPlanner`
+covering all its runs, which returns a round's drop schedule as packed
+words and its corrupt edges as COO arrays
+(:class:`~repro.adversary.plan.BatchRoundPlan`) that this engine
+consumes directly — ``HO`` words come out of one XOR, reception rows
+are scattered in bulk and count adjustments assemble as whole arrays.
+Reliable, random-omission and random-corruption runs have registered
+batch planners that plan array-at-a-time, each run's RNG stream still
+consumed bit-exactly (via the :mod:`~repro.adversary.rng_bridge` where
+draws vectorise, scalar replay where they cannot).  Every other class,
+rotating-sender and block faults included, keeps one RNG-stream-exact
+:class:`~repro.adversary.plan.MaskPlanner` per run behind the private
+``_PerRunPlanner`` adapter, which turns each run's
+:class:`~repro.adversary.plan.RoundPlan` into the same format.  Either
+way fault schedules (and therefore the ``HO``/``SHO`` collections) are
+bit-for-bit identical to the other lockstep engines; the differential
+tests empty the batch-planner registry
+(``repro.adversary.plan._BATCH_PLANNERS``) to diff the two.  For
+:class:`~repro.adversary.base.ReliableAdversary` planning is free and
+the whole round is a single vectorised step.
 
 Reception has two representations.  Below ``n = 128`` it is the dense
 ``(runs, n, n)`` float32 matrix described above and counts come from the
@@ -62,7 +67,7 @@ payloads and final process states are identical to the reference engine
 for every supported run, so records and reduced records are
 byte-identical and cache entries are shared across backends — asserted
 by the differential grid in
-``tests/simulation/test_batch_engine.py``.
+``tests/simulation/test_batch_engine_differential.py``.
 
 NumPy is an *optional* dependency: the module imports without it,
 :func:`batch_supported` then answers ``False`` for every run, and the
@@ -83,7 +88,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # NumPy is optional: without it the batch backend just reports
     import numpy as np  # unsupported and the dispatcher falls back.
@@ -91,7 +96,7 @@ except ImportError:  # pragma: no cover - exercised by the numpy-less CI leg
     np = None
 
 from repro.adversary.base import Adversary, ReliableAdversary
-from repro.adversary.plan import BatchPlanner, MaskPlanner, batch_planner_for, planner_for
+from repro.adversary.plan import BatchPlanner, BatchRoundPlan, batch_planner_for, planner_for
 from repro.algorithms.kernels import (
     AteKernel,
     UteKernel,
@@ -110,7 +115,7 @@ from repro.core.heardof import (
     words_per_mask,
     words_to_mask,
 )
-from repro.core.process import ProcessId, Value
+from repro.core.process import Payload, ProcessId, Value
 from repro.simulation.engine import RoundObserver, SimulationConfig, SimulationResult
 from repro.simulation.fast_engine import fast_supported, run_algorithm_fast
 from repro.simulation.metrics import metrics_from_collection
@@ -125,11 +130,6 @@ def numpy_available() -> bool:
 #: more than the dense matmul it replaces, so groups stay dense.  Tests
 #: patch it (to 0, or past any ``n``) to pin both tiers against each other.
 _PACKED_MIN_N = 128
-
-#: Whether run groups may plan through registered batch planners.  Tests
-#: patch it off to force every run onto its per-run planner (the
-#: vectorised kernel stays) and diff the two paths byte for byte.
-_BATCH_PLANNING = True
 
 if np is not None and not hasattr(np, "bitwise_count"):
     # Pre-2.x NumPy has no popcount ufunc: count per byte through a
@@ -631,6 +631,69 @@ def _rows_from_words(words: "np.ndarray") -> List[List[int]]:
     ]
 
 
+class _PerRunPlanner(BatchPlanner):
+    """Per-run mask planners behind the batch-plan interface.
+
+    Adversary classes without a registered batch planner keep one
+    :func:`~repro.adversary.plan.planner_for` planner per member (native,
+    or the :class:`~repro.adversary.plan.MatrixPlanAdapter`), each
+    consuming its adversary's RNG exactly as a per-run execution would.
+    Every live member's :class:`~repro.adversary.plan.RoundPlan` becomes
+    its slice of one :class:`~repro.adversary.plan.BatchRoundPlan`: the
+    drop masks' little-endian bytes are its packed word rows, and the
+    corrupt bits its drops leave standing become COO edges in
+    ascending-sender order, payloads encoded through the codebook.
+    """
+
+    def __init__(self, adversaries: Sequence[Adversary], n: int) -> None:
+        super().__init__(adversaries, n)
+        self._planners = [planner_for(adversary, n) for adversary in self.adversaries]
+
+    def plan_rounds(
+        self,
+        round_num: int,
+        sent: Sequence[Sequence[Payload]],
+        live: Sequence[int],
+        encode: Callable[[Payload], int],
+        codes: Any = None,
+        values: Any = None,
+    ) -> BatchRoundPlan:
+        n = self.n
+        full = (1 << n) - 1
+        row_bytes = words_per_mask(n) * 8
+        drop_words: Optional["np.ndarray"] = None
+        e_pos: List[int] = []
+        e_recv: List[int] = []
+        e_send: List[int] = []
+        e_code: List[int] = []
+        for pos, j in enumerate(live):
+            plan = self._planners[j].plan_round(round_num, sent[pos])
+            drop_masks = plan.drop_masks
+            if any(drop_masks):
+                if drop_words is None:
+                    drop_words = np.zeros((len(live), n, row_bytes // 8), dtype=np.uint64)
+                drop_words[pos] = np.frombuffer(
+                    b"".join((mask & full).to_bytes(row_bytes, "little") for mask in drop_masks),
+                    dtype="<u8",
+                ).reshape(n, -1)
+            corrupt_values = plan.corrupt_values
+            for receiver, cmask in enumerate(plan.corrupt_masks):
+                if not cmask:
+                    continue
+                cmask &= full & ~drop_masks[receiver]
+                payloads = corrupt_values[receiver]
+                while cmask:
+                    low = cmask & -cmask
+                    sender = low.bit_length() - 1
+                    cmask ^= low
+                    e_pos.append(pos)
+                    e_recv.append(receiver)
+                    e_send.append(sender)
+                    e_code.append(encode(payloads[sender]))
+        corrupt = (e_pos, e_recv, e_send, e_code) if e_pos else None
+        return BatchRoundPlan(drop_words=drop_words, corrupt=corrupt)
+
+
 def _run_group(
     family: str,
     requests: Sequence[SimulationRequest],
@@ -642,7 +705,7 @@ def _run_group(
     config fields (grouping key of :func:`run_algorithm_batch`); the
     algorithm *parameters*, adversaries, initial values and specs may
     differ per run — parameters live in per-run arrays, adversaries in
-    batch or per-run planners.
+    one batch planner per exact adversary class.
 
     With ``packed`` the reception state is ``(A, n, W)`` uint64 words
     (``W = ceil(n / 64)``, :func:`~repro.core.heardof.pack_mask_rows`
@@ -661,47 +724,31 @@ def _run_group(
     kernel = _BATCH_KERNELS[family](requests, n, book)
     collections = [HeardOfCollection(n) for _ in range(runs)]
 
-    # Two planner tiers: runs whose exact adversary class has a
-    # registered batch planner share one array-at-a-time planner per
-    # class; everything else keeps its per-run planner.  Partitions are
-    # per exact class, in first-appearance order, so the member lists
-    # (and therefore per-member RNG consumption) are deterministic.
-    batch_parts: List[Tuple[BatchPlanner, List[int]]] = []
-    is_batch_planned = [False] * runs
-    if _BATCH_PLANNING:
-        by_class: Dict[type, List[int]] = {}
-        for index, request in enumerate(requests):
-            by_class.setdefault(type(request.adversary), []).append(index)
-        for members in by_class.values():
-            planner = batch_planner_for([requests[i].adversary for i in members], n)
-            if planner is None:
-                continue
-            batch_parts.append((planner, members))
-            for i in members:
-                is_batch_planned[i] = True
-    planners: Dict[int, MaskPlanner] = {
-        i: planner_for(r.adversary, n)
-        for i, r in enumerate(requests)
-        if not is_batch_planned[i]
-    }
+    # One planner per exact adversary class, in first-appearance order,
+    # so the member lists (and therefore per-member RNG consumption) are
+    # deterministic: the registered batch planner, else the per-run
+    # adapter.  Only registered planners count as batch planned.
+    by_class: Dict[type, List[int]] = {}
+    for index, request in enumerate(requests):
+        by_class.setdefault(type(request.adversary), []).append(index)
+    parts: List[Tuple[BatchPlanner, List[int], bool]] = []
+    for members in by_class.values():
+        adversaries = [requests[i].adversary for i in members]
+        planner = batch_planner_for(adversaries, n)
+        if planner is None:
+            parts.append((_PerRunPlanner(adversaries, n), members, False))
+        else:
+            parts.append((planner, members, True))
     batch_planned_rounds = [0] * runs
 
     full = (1 << n) - 1
     full_tuple = (full,) * n
-    zeros_tuple = (0,) * n
     nones_tuple = (None,) * n
     width = words_per_mask(n)
     # The full mask's word row doubles as the packed reception template
     # (pad bits beyond ``n`` stay zero everywhere, so XOR with it turns
     # drop words straight into HO words).
     word_full = np.frombuffer(full.to_bytes(width * 8, "little"), dtype="<u8")
-
-    def fresh_recv() -> "np.ndarray":
-        if packed:
-            out = np.empty((act.size, n, width), dtype=np.uint64)
-            out[:] = word_full
-            return out
-        return np.ones((act.size, n, n), dtype=np.float32)
 
     active = np.ones(runs, dtype=bool)
     rounds_executed = np.zeros(runs, dtype=np.int64)
@@ -712,231 +759,137 @@ def _run_group(
         act = np.flatnonzero(active)
         if act.size == 0:
             break
-        act_list = act.tolist()
+        a_pos_of = {i: a_pos for a_pos, i in enumerate(act.tolist())}
         sent_codes = kernel.sends(round_num)
         values_of = book.values
         recv = None
-        adj_run: List[int] = []
-        adj_recv: List[int] = []
-        adj_code: List[int] = []
-        adj_delta: List[float] = []
         adj_parts: List[Tuple] = []
 
-        for a_pos, i in enumerate(act_list) if planners else ():
-            if is_batch_planned[i]:
+        for planner, members, registered in parts:
+            # ``live`` indexes the partition's member list (the
+            # planner's own adversary indices); ``live_runs`` maps
+            # those back to run indices within the group.
+            live = [pos for pos, i in enumerate(members) if i in a_pos_of]
+            if not live:
                 continue
-            row = sent_codes[i].tolist()
-            values = [values_of[c] for c in row]
-            plan = planners[i].plan_round(round_num, values)
-            drop_masks = plan.drop_masks
-            corrupt_masks = plan.corrupt_masks
-            if drop_masks == zeros_tuple and corrupt_masks == zeros_tuple:
-                # Perfect round: reception template untouched, record
-                # assembled from shared tuples.
-                collections[i].append(
-                    MaskRoundRecord(
-                        round_num=round_num,
-                        n=n,
-                        sent=tuple(values),
-                        ho_masks=full_tuple,
-                        sho_masks=full_tuple,
-                        corrupt=nones_tuple,
-                    )
-                )
-                continue
-
-            corrupt_values = plan.corrupt_values
-            ho_masks: List[int] = []
-            sho_masks: List[int] = []
-            corrupt: List[Optional[dict]] = []
-            for receiver in range(n):
-                ho = full & ~drop_masks[receiver]
-                cmask = corrupt_masks[receiver] & ho
-                ho_masks.append(ho)
-                sho_masks.append(ho & ~cmask)
-                if cmask:
-                    cvals = corrupt_values[receiver]
-                    kept = {}
-                    mask = cmask
-                    while mask:
-                        low = mask & -mask
-                        sender = low.bit_length() - 1
-                        mask ^= low
-                        payload = cvals[sender]
-                        kept[sender] = payload
-                        adj_run.append(a_pos)
-                        adj_recv.append(receiver)
-                        adj_code.append(row[sender])
-                        adj_delta.append(-1.0)
-                        adj_run.append(a_pos)
-                        adj_recv.append(receiver)
-                        adj_code.append(book.encode(payload))
-                        adj_delta.append(1.0)
-                    corrupt.append(kept)
-                else:
-                    corrupt.append(None)
-            collections[i].append(
-                MaskRoundRecord(
-                    round_num=round_num,
-                    n=n,
-                    sent=tuple(values),
-                    ho_masks=tuple(ho_masks),
-                    sho_masks=tuple(sho_masks),
-                    corrupt=tuple(corrupt),
-                )
+            live_runs = [members[pos] for pos in live]
+            live_arr = np.asarray(live_runs, dtype=np.int64)
+            codes_mat = sent_codes[live_arr]
+            sent_rows = [
+                [values_of[c] for c in code_row] for code_row in codes_mat.tolist()
+            ]
+            plan = planner.plan_rounds(
+                round_num, sent_rows, live, book.encode, codes_mat, values_of
             )
-            if drop_masks != zeros_tuple:
-                if recv is None:
-                    recv = fresh_recv()
-                # The mask ints' little-endian bytes ARE the packed word
-                # row; the dense tier unpacks the same bytes to bits.
-                ho_words_row = np.frombuffer(
-                    b"".join(m.to_bytes(width * 8, "little") for m in ho_masks),
-                    dtype="<u8",
-                ).reshape(n, width)
-                if packed:
-                    recv[a_pos] = ho_words_row
-                else:
-                    recv[a_pos] = unpack_mask_rows(ho_words_row, n)
-
-        if batch_parts:
-            a_pos_of = {i: a_pos for a_pos, i in enumerate(act_list)}
-            for planner, members in batch_parts:
-                # ``live`` indexes the partition's member list (the
-                # planner's own adversary indices); ``live_runs`` maps
-                # those back to run indices within the group.
-                live = [pos for pos, i in enumerate(members) if active[i]]
-                if not live:
-                    continue
-                live_runs = [members[pos] for pos in live]
-                live_arr = np.asarray(live_runs, dtype=np.int64)
-                codes_mat = sent_codes[live_arr]
-                sent_rows = [
-                    [values_of[c] for c in code_row] for code_row in codes_mat.tolist()
-                ]
-                plan = planner.plan_rounds(
-                    round_num, sent_rows, live, book.encode, codes_mat, values_of
-                )
+            if registered:
                 for i in live_runs:
                     batch_planned_rounds[i] += 1
-                drop = plan.drop
-                drop_words = plan.drop_words
-                edges = plan.corrupt
+            drop_words = plan.drop_words
+            edges = plan.corrupt
 
-                if drop is None and drop_words is None and edges is None:
-                    # Perfect round for the whole partition: reception
-                    # template untouched, records from shared tuples.
-                    for pos, i in enumerate(live_runs):
-                        collections[i].append(
-                            MaskRoundRecord(
-                                round_num=round_num,
-                                n=n,
-                                sent=tuple(sent_rows[pos]),
-                                ho_masks=full_tuple,
-                                sho_masks=full_tuple,
-                                corrupt=nones_tuple,
-                            )
-                        )
-                    continue
-
-                if drop_words is None and drop is not None:
-                    # Third-party planners may still emit dense drop
-                    # bits; canonicalise to the packed word form once.
-                    drop_words = pack_mask_rows(drop)
-                if drop_words is not None:
-                    ho_words = np.bitwise_xor(drop_words, word_full)
-                    ho_rows = _rows_from_words(ho_words)
-                    if recv is None:
-                        recv = fresh_recv()
-                    positions = [a_pos_of[i] for i in live_runs]
-                    if packed:
-                        recv[positions] = ho_words
-                    else:
-                        recv[positions] = unpack_mask_rows(ho_words, n)
-                else:
-                    ho_rows = None
-
-                # Corrupt edges arrive as COO columns sorted ascending
-                # by sender within each (member, receiver).  The
-                # kernel's count adjustments (-1 intended, +1 injected)
-                # assemble as whole arrays; only the per-member record
-                # dicts still walk the edges in Python.
-                cmask_of: Dict[int, Dict[int, int]] = {}
-                cvals_of: Dict[int, Dict[int, dict]] = {}
-                if edges is not None:
-                    e_pos = np.asarray(edges[0], dtype=np.int64)
-                    e_recv = np.asarray(edges[1], dtype=np.int64)
-                    e_send = np.asarray(edges[2], dtype=np.int64)
-                    e_code = np.asarray(edges[3], dtype=np.int64)
-                    a_pos_arr = np.asarray(
-                        [a_pos_of[i] for i in live_runs], dtype=np.int64
-                    )[e_pos]
-                    intended = codes_mat[e_pos, e_send]
-                    n_edges = len(e_code)
-                    deltas = np.empty(2 * n_edges, dtype=np.float32)
-                    deltas[:n_edges] = -1.0
-                    deltas[n_edges:] = 1.0
-                    adj_parts.append(
-                        (
-                            np.concatenate([a_pos_arr, a_pos_arr]),
-                            np.concatenate([e_recv, e_recv]),
-                            np.concatenate([intended, e_code]),
-                            deltas,
-                        )
-                    )
-                    # Planners may emit the columns as arrays; the
-                    # record walk wants plain ints (mask shifts must not
-                    # wrap in fixed-width integer arithmetic).  Edges
-                    # usually arrive grouped by member, so the member
-                    # dicts are re-looked-up only on a position change.
-                    prev_pos = -1
-                    masks: Dict[int, int] = {}
-                    member_vals: Dict[int, dict] = {}
-                    for pos, receiver, sender, code in zip(
-                        e_pos.tolist(), e_recv.tolist(), e_send.tolist(), e_code.tolist()
-                    ):
-                        if pos != prev_pos:
-                            masks = cmask_of.setdefault(pos, {})
-                            member_vals = cvals_of.setdefault(pos, {})
-                            prev_pos = pos
-                        masks[receiver] = masks.get(receiver, 0) | (1 << sender)
-                        member_vals.setdefault(receiver, {})[sender] = values_of[code]
-
+            if drop_words is None and edges is None:
+                # Perfect round for the whole partition: reception
+                # template untouched, records from shared tuples.
                 for pos, i in enumerate(live_runs):
-                    ho_t = full_tuple if ho_rows is None else tuple(ho_rows[pos])
-                    masks = cmask_of.get(pos)
-                    if not masks:
-                        sho_t = ho_t
-                        corrupt_t: Tuple[Optional[dict], ...] = nones_tuple
-                    else:
-                        sho_l = list(ho_t)
-                        corrupt_l: List[Optional[dict]] = [None] * n
-                        member_vals = cvals_of[pos]
-                        for receiver, cmask in masks.items():
-                            sho_l[receiver] &= ~cmask
-                            corrupt_l[receiver] = member_vals[receiver]
-                        sho_t = tuple(sho_l)
-                        corrupt_t = tuple(corrupt_l)
                     collections[i].append(
                         MaskRoundRecord(
                             round_num=round_num,
                             n=n,
                             sent=tuple(sent_rows[pos]),
-                            ho_masks=ho_t,
-                            sho_masks=sho_t,
-                            corrupt=corrupt_t,
+                            ho_masks=full_tuple,
+                            sho_masks=full_tuple,
+                            corrupt=nones_tuple,
                         )
                     )
+                continue
 
-        if adj_run:
-            adj_parts.append(
-                (
-                    np.asarray(adj_run, dtype=np.int64),
-                    np.asarray(adj_recv, dtype=np.int64),
-                    np.asarray(adj_code, dtype=np.int64),
-                    np.asarray(adj_delta, dtype=np.float32),
+            positions = [a_pos_of[i] for i in live_runs]
+            if drop_words is not None:
+                ho_words = np.bitwise_xor(drop_words, word_full)
+                ho_rows = _rows_from_words(ho_words)
+                if recv is None:
+                    if packed:
+                        recv = np.empty((act.size, n, width), dtype=np.uint64)
+                        recv[:] = word_full
+                    else:
+                        recv = np.ones((act.size, n, n), dtype=np.float32)
+                if packed:
+                    recv[positions] = ho_words
+                else:
+                    recv[positions] = unpack_mask_rows(ho_words, n)
+            else:
+                ho_rows = None
+
+            # Corrupt edges arrive as COO columns sorted ascending by
+            # sender within each (member, receiver).  The kernel's count
+            # adjustments (-1 intended, +1 injected) assemble as whole
+            # arrays; only the per-member record dicts still walk the
+            # edges in Python.
+            cmask_of: Dict[int, Dict[int, int]] = {}
+            cvals_of: Dict[int, Dict[int, dict]] = {}
+            if edges is not None:
+                e_pos = np.asarray(edges[0], dtype=np.int64)
+                e_recv = np.asarray(edges[1], dtype=np.int64)
+                e_send = np.asarray(edges[2], dtype=np.int64)
+                e_code = np.asarray(edges[3], dtype=np.int64)
+                a_pos_arr = np.asarray(positions, dtype=np.int64)[e_pos]
+                intended = codes_mat[e_pos, e_send]
+                n_edges = len(e_code)
+                deltas = np.empty(2 * n_edges, dtype=np.float32)
+                deltas[:n_edges] = -1.0
+                deltas[n_edges:] = 1.0
+                adj_parts.append(
+                    (
+                        np.concatenate([a_pos_arr, a_pos_arr]),
+                        np.concatenate([e_recv, e_recv]),
+                        np.concatenate([intended, e_code]),
+                        deltas,
+                    )
                 )
-            )
+                # Planners may emit the columns as arrays; the record
+                # walk wants plain ints (mask shifts must not wrap in
+                # fixed-width integer arithmetic).  Edges usually arrive
+                # grouped by member, so the member dicts are re-looked-up
+                # only on a position change.
+                prev_pos = -1
+                masks: Dict[int, int] = {}
+                member_vals: Dict[int, dict] = {}
+                for pos, receiver, sender, code in zip(
+                    e_pos.tolist(), e_recv.tolist(), e_send.tolist(), e_code.tolist()
+                ):
+                    if pos != prev_pos:
+                        masks = cmask_of.setdefault(pos, {})
+                        member_vals = cvals_of.setdefault(pos, {})
+                        prev_pos = pos
+                    masks[receiver] = masks.get(receiver, 0) | (1 << sender)
+                    member_vals.setdefault(receiver, {})[sender] = values_of[code]
+
+            for pos, i in enumerate(live_runs):
+                ho_t = full_tuple if ho_rows is None else tuple(ho_rows[pos])
+                masks = cmask_of.get(pos)
+                if not masks:
+                    sho_t = ho_t
+                    corrupt_t: Tuple[Optional[dict], ...] = nones_tuple
+                else:
+                    sho_l = list(ho_t)
+                    corrupt_l: List[Optional[dict]] = [None] * n
+                    member_vals = cvals_of[pos]
+                    for receiver, cmask in masks.items():
+                        sho_l[receiver] &= ~cmask
+                        corrupt_l[receiver] = member_vals[receiver]
+                    sho_t = tuple(sho_l)
+                    corrupt_t = tuple(corrupt_l)
+                collections[i].append(
+                    MaskRoundRecord(
+                        round_num=round_num,
+                        n=n,
+                        sent=tuple(sent_rows[pos]),
+                        ho_masks=ho_t,
+                        sho_masks=sho_t,
+                        corrupt=corrupt_t,
+                    )
+                )
+
         if not adj_parts:
             adjust = None
         elif len(adj_parts) == 1:
@@ -954,7 +907,7 @@ def _run_group(
 
     # Write bridged RNG state back so every adversary's random.Random
     # ends the group exactly where a per-run execution would leave it.
-    for planner, _members in batch_parts:
+    for planner, _members, _registered in parts:
         planner.finish()
 
     results: List[SimulationResult] = []

@@ -13,10 +13,17 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.adversary import PeriodicGoodRoundAdversary, RandomCorruptionAdversary
+from repro.adversary import (
+    BlockFaultAdversary,
+    PeriodicGoodRoundAdversary,
+    RandomCorruptionAdversary,
+    RotatingSenderCorruptionAdversary,
+)
+from repro.adversary import plan
 from repro.algorithms import AteAlgorithm
 from repro.core.predicates import AlphaSafePredicate
 from repro.runner import CampaignRunner, DecisionReducer, RunTask
+from repro.runner.records import RunRecord
 from repro.simulation import SimulationConfig, run_simulation
 from repro.simulation import batch_engine
 from repro.simulation.batch_engine import SimulationRequest, run_algorithm_batch
@@ -83,28 +90,43 @@ class TestWholeSweepBatches:
         for reference, batch in zip(references, results):
             assert_equivalent(reference, batch)
 
-    def test_staggered_early_exit(self):
+    # One adversary per planning path: a registered batch planner, a
+    # matrix-level adversary behind MatrixPlanAdapter, and a native
+    # per-run MaskPlanner — the last two through the engine's per-run
+    # adapter, where runs of one partition must also exit one by one.
+    STAGGERED_ADVERSARIES = {
+        "random-corruption": lambda seed: RandomCorruptionAdversary(
+            alpha=1, corruption_probability=0.5, drop_probability=0.3,
+            value_domain=(0, 1), seed=seed,
+        ),
+        "good-rounds": lambda seed: PeriodicGoodRoundAdversary(
+            inner=RandomCorruptionAdversary(
+                alpha=1, corruption_probability=0.5, drop_probability=0.3,
+                value_domain=(0, 1), seed=seed,
+            ),
+            period=4,
+        ),
+        "block-faults": lambda seed: BlockFaultAdversary(
+            faults_per_round=4, value_domain=(0, 1), seed=seed
+        ),
+    }
+
+    @pytest.mark.parametrize("adversary_name", sorted(STAGGERED_ADVERSARIES))
+    def test_staggered_early_exit(self, adversary_name):
         """Runs deciding at different rounds leave the active set one by
         one; finished runs must not keep accruing rounds or messages."""
+        make_adversary = self.STAGGERED_ADVERSARIES[adversary_name]
         config = SimulationConfig(max_rounds=40, record_states=False)
         requests, references = [], []
         for seed in range(12):
             initial = generators.uniform_random(8, seed=seed)
-            adversary = RandomCorruptionAdversary(
-                alpha=1, corruption_probability=0.5, drop_probability=0.3,
-                value_domain=(0, 1), seed=seed,
-            )
             requests.append(SimulationRequest(
                 AteAlgorithm.symmetric(n=8, alpha=1), initial,
-                adversary=adversary, config=config,
+                adversary=make_adversary(seed), config=config,
             ))
             references.append(run_simulation(
                 AteAlgorithm.symmetric(n=8, alpha=1), initial,
-                RandomCorruptionAdversary(
-                    alpha=1, corruption_probability=0.5, drop_probability=0.3,
-                    value_domain=(0, 1), seed=seed,
-                ),
-                config, backend="reference",
+                make_adversary(seed), config, backend="reference",
             ))
         results = run_algorithm_batch(requests)
         rounds = {r.rounds_executed for r in results}
@@ -205,11 +227,11 @@ class TestBatchPlanning:
         ]
 
     def test_planning_knob_off_matches_on(self, monkeypatch):
-        """With batch planning switched off the engine falls back to
-        per-run mask planning; the produced collections must be
-        byte-identical to the batch-planned path."""
+        """With the batch-planner registry emptied every run plans per
+        run behind the engine's adapter; the produced collections must
+        be byte-identical to the batch-planned path."""
         planned = run_algorithm_batch(self._sweep())
-        monkeypatch.setattr(batch_engine, "_BATCH_PLANNING", False)
+        monkeypatch.setattr(plan, "_BATCH_PLANNERS", {})
         fallback = run_algorithm_batch(self._sweep())
         for on_result, off_result in zip(planned, fallback):
             assert_equivalent(on_result, off_result)
@@ -218,8 +240,9 @@ class TestBatchPlanning:
 
     def test_batch_planned_rounds_metadata(self):
         """Registered adversary classes report every round as batch
-        planned; wrapped (subclass-free but unregistered) adversaries
-        report zero and still match."""
+        planned; wrapped adversaries and classes that plan per run
+        (rotating-sender and block faults) report zero and still
+        match the reference engine."""
         planned = run_algorithm_batch(self._sweep())
         for result in planned:
             assert (
@@ -242,6 +265,33 @@ class TestBatchPlanning:
             ]
         )[0]
         assert wrapped.metadata.get("batch_planned_rounds", 0) == 0
+
+        per_run = {
+            "rotating-corruption": lambda seed: RotatingSenderCorruptionAdversary(
+                alpha=1, value_domain=(0, 1), seed=seed
+            ),
+            "block-faults": lambda seed: BlockFaultAdversary(
+                faults_per_round=3, value_domain=(0, 1), seed=seed
+            ),
+        }
+        for name, make_adversary in per_run.items():
+            requests, references = [], []
+            for seed in range(3):
+                initial = generators.uniform_random(6, seed=seed)
+                requests.append(SimulationRequest(
+                    AteAlgorithm.symmetric(n=6, alpha=1), initial,
+                    adversary=make_adversary(seed), config=config,
+                ))
+                references.append(run_simulation(
+                    AteAlgorithm.symmetric(n=6, alpha=1), initial,
+                    make_adversary(seed), config, backend="reference",
+                ))
+            for reference, batch in zip(references, run_algorithm_batch(requests)):
+                assert batch.metadata["batch_planned_rounds"] == 0, name
+                assert RunRecord.from_result(batch).as_dict() == (
+                    RunRecord.from_result(reference).as_dict()
+                ), name
+                assert_equivalent(reference, batch)
 
 
 class TestPackedTierAndChunking:
