@@ -230,9 +230,10 @@ def test_bench_straggler_work_stealing(tmp_path):
     # The straggler batch was actually split: cut markers + part deposits.
     steal_queue = WorkQueue(tmp_path / "queue-steal")
     campaign_id = steal_queue.campaigns()[0]
-    cuts = steal_queue.cuts(campaign_id)
+    view = steal_queue.scan(campaign_id)
+    cuts = view.cut_points
     assert cuts, "stealing fleet recorded no cut markers on the straggler"
-    assert any(len(parts) >= 2 for parts in steal_queue.parts(campaign_id).values())
+    assert any(len(parts) >= 2 for parts in view.deposited.values())
 
     # Full cross-mode cache hits: a serial runner over the stealing
     # fleet's shared cache re-executes nothing and reads identical rows.

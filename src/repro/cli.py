@@ -460,7 +460,6 @@ def _run_worker_loop(args: argparse.Namespace) -> int:
         ttl=args.ttl,
         poll_interval=args.poll_interval,
         max_idle=args.max_idle,
-        steal=not args.no_steal,
     )
 
 
@@ -479,7 +478,6 @@ def _cmd_supervise(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             poll_interval=args.poll_interval,
             idle_grace=args.idle_grace,
-            steal=not args.no_steal,
             on_status=_status_printer(),
         )
     except ValueError as exc:  # bad bounds or a non-result-identical backend
@@ -821,11 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser.add_argument(
         "--worker-id", default=None, help="fleet-unique id (default host-pid)"
     )
-    worker_parser.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="never split peers' in-progress batches (work stealing is on by default)",
-    )
     worker_parser.set_defaults(func=_cmd_worker)
 
     supervise_parser = subparsers.add_parser(
@@ -891,11 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="hard stop after this many seconds (default: run until interrupted)",
     )
-    supervise_parser.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="spawn workers with work stealing disabled",
-    )
     supervise_parser.set_defaults(func=_cmd_supervise)
 
     status_parser = subparsers.add_parser(
@@ -905,8 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Merge one queue-depth scan with every worker's deposited metric "
             "snapshot (the metrics/ namespace of the queue directory) into a "
             "fleet view: pending/claimable/unclaimed units, live leases, and "
-            "per-worker counters with snapshot age and cache hit ratio. "
-            "Metric snapshots are deposited by workers unless REPRO_METRICS=off."
+            "per-worker counters with snapshot age and cache hit ratio."
         ),
     )
     status_parser.add_argument(

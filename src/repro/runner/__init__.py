@@ -40,7 +40,6 @@ from repro.runner.distributed import (
     Worker,
     WorkQueue,
     fleet_status,
-    metrics_enabled,
     run_worker,
 )
 from repro.runner.executor import (
@@ -167,7 +166,6 @@ __all__ = [
     "group_by_cell",
     "make_reducer",
     "metric_catalogue_markdown",
-    "metrics_enabled",
     "outcome_fields",
     "reduced_cache_key",
     "reduced_campaign_report",

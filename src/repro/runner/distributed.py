@@ -88,6 +88,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -124,7 +125,7 @@ DEFAULT_LEASE_TTL = 60.0
 
 #: Smallest unstarted remainder (in tasks) worth splitting off a live
 #: lease: below this, stealing costs more scheduling than it saves.
-DEFAULT_MIN_STEAL = 2
+MIN_STEAL = 2
 
 
 class IncompleteCampaignError(RuntimeError):
@@ -197,23 +198,6 @@ def _metrics_path(worker_id: str) -> str:
     return f"metrics/{safe}.json"
 
 
-def metrics_enabled() -> bool:
-    """Whether fleet metric *snapshot deposits* are enabled.
-
-    ``REPRO_METRICS=off|0|false|no`` disables the periodic snapshot
-    files workers write (the only observable side effect of the metrics
-    layer — in-memory counters always run, they are free).  CI uses the
-    switch to prove inertness: campaign rows are byte-identical with
-    metrics on and off.
-    """
-    return os.environ.get("REPRO_METRICS", "on").strip().lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
-
-
 _PART_NAME = re.compile(r"(\d{5})\.p(\d{5})-(\d{5})\.json\Z")
 _LEASE_NAME = re.compile(r"(\d{5})\.p(\d{5})\.json\Z")
 _CUT_NAME = re.compile(r"(\d{5})\.(\d{4})\.json\Z")
@@ -234,6 +218,127 @@ class Lease:
     worker_id: str
     ttl: float
     start: int = 0
+
+
+def _lease_live(payload: Dict[str, object], now: float) -> bool:
+    """Whether a lease payload's last heartbeat is within its TTL at ``now``.
+
+    Both sides are wall-clock readings: the heartbeat the holder wrote
+    and this host's clock (see :meth:`WorkQueue.try_acquire` on skew).
+    """
+    heartbeat_at = float(payload.get("heartbeat_at", 0.0))
+    return now - heartbeat_at <= float(payload.get("ttl", DEFAULT_LEASE_TTL))
+
+
+class _CampaignView:
+    """One campaign's queue state: what is left to do, and where.
+
+    Built by :meth:`WorkQueue.scan`.  The batch sizes come from the
+    manifest.  The deposited intervals (:attr:`deposited`, from part
+    filenames) and the cut points (:attr:`cut_points`, from cut
+    markers) are listed on first use, at most once per view: a caller
+    that asks only about coverage never lists ``splits/``, and one that
+    asks only for interval ends never lists ``results/``.  A view made
+    by :meth:`rescan` lists one batch's files and answers only for it.
+    """
+
+    def __init__(
+        self,
+        queue: "WorkQueue",
+        campaign_id: str,
+        manifest: Dict[str, object],
+        index: Optional[int] = None,
+    ) -> None:
+        self.campaign_id = campaign_id
+        self.manifest = manifest
+        self.sizes = WorkQueue.batch_sizes(manifest)
+        self._queue = queue
+        self._batches = "*" if index is None else f"{index:05d}"
+
+    def rescan(self, index: int) -> "_CampaignView":
+        """A fresh view of one batch: same manifest, its files listed anew."""
+        return _CampaignView(self._queue, self.campaign_id, self.manifest, index)
+
+    @cached_property
+    def deposited(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Deposited intervals per batch, sorted: ``{index: [(start, count), …]}``.
+
+        Read purely from part *filenames* (one store listing), so
+        completion polling never opens result payloads.
+        """
+        deposited: Dict[int, List[Tuple[int, int]]] = {}
+        pattern = f"campaigns/{self.campaign_id}/results/{self._batches}.p*.json"
+        for relpath in self._queue.store.list(pattern):
+            match = _PART_NAME.search(relpath)
+            if match is None:
+                continue
+            index, start, count = (int(group) for group in match.groups())
+            deposited.setdefault(index, []).append((start, count))
+        for intervals in deposited.values():
+            intervals.sort()
+        return deposited
+
+    @cached_property
+    def cut_points(self) -> Dict[int, List[int]]:
+        """Cut points per batch, sorted: ``{index: [at, …]}``.
+
+        Cut markers are scheduling hints only — an unreadable marker is
+        skipped (the deposit coverage protocol keeps correctness).
+        """
+        points: Dict[int, set] = {}
+        pattern = f"campaigns/{self.campaign_id}/splits/{self._batches}.*.json"
+        for relpath in self._queue.store.list(pattern):
+            match = _CUT_NAME.search(relpath)
+            if match is None:
+                continue
+            payload = self._queue._read_json(relpath)
+            if payload is None:
+                continue
+            try:
+                at = int(payload["at"])  # type: ignore[arg-type]
+            except (KeyError, TypeError, ValueError):
+                continue
+            points.setdefault(int(match.group(1)), set()).add(at)
+        return {index: sorted(found) for index, found in points.items()}
+
+    def end(self, index: int, start: int) -> int:
+        """The current end of the interval starting at ``start``: the
+        first cut point after it, or the batch end."""
+        num = self.sizes[index]
+        return min((at for at in self.cut_points.get(index, ()) if start < at < num), default=num)
+
+    def covered(self, index: int, start: int, end: int) -> bool:
+        """Whether deposited parts cover every task in ``[start, end)``."""
+        reach = start
+        for first, count in self.deposited.get(index, ()):
+            if first > reach:
+                break
+            reach = max(reach, first + count)
+        return reach >= end
+
+    def pending(self) -> List[int]:
+        """Batch indices whose deposited parts do not cover every task."""
+        return [index for index, num in enumerate(self.sizes) if not self.covered(index, 0, num)]
+
+    def units(self) -> List[Tuple[int, int, int]]:
+        """Intervals ``(batch_index, start, end)`` with uncovered tasks.
+
+        Intervals are bounded by the batch's cut points; every interval
+        returned has at least one task without a deposited record.  The
+        caller still races for the interval's lease — this is a scan,
+        not a claim.
+        """
+        units: List[Tuple[int, int, int]] = []
+        for index in self.pending():
+            num = self.sizes[index]
+            inside = (at for at in self.cut_points.get(index, ()) if 0 < at < num)
+            bounds = sorted({0, num, *inside})
+            units.extend(
+                (index, start, end)
+                for start, end in zip(bounds, bounds[1:])
+                if not self.covered(index, start, end)
+            )
+        return units
 
 
 class WorkQueue:
@@ -406,43 +511,19 @@ class WorkQueue:
             min(batch_size, num_tasks - index * batch_size) for index in range(num_batches)
         ]
 
-    def parts(self, campaign_id: str) -> Dict[int, List[Tuple[int, int]]]:
-        """Deposited result parts per batch: ``{index: [(start, count), …]}``.
+    def scan(self, campaign_id: str) -> Optional[_CampaignView]:
+        """The campaign's queue state, or ``None`` when its manifest is
+        absent or unreadable.
 
-        Read purely from part *filenames* (one store listing), so
-        completion polling never opens result payloads.
+        The one read behind every fleet decision: the worker's claim
+        scan, steal-candidate selection, the supervisor's depth metrics,
+        and the submitter's wait and collect.  The manifest is read now;
+        the view lists deposits and cut markers on first use, once each.
+        :meth:`_CampaignView.rescan` re-reads one batch (a worker's
+        post-claim re-check and its mid-flight end re-reads).
         """
-        deposited: Dict[int, List[Tuple[int, int]]] = {}
-        for relpath in self.store.list(f"campaigns/{campaign_id}/results/*.json"):
-            match = _PART_NAME.search(relpath)
-            if match is None:
-                continue
-            index, start, count = (int(group) for group in match.groups())
-            deposited.setdefault(index, []).append((start, count))
-        for intervals in deposited.values():
-            intervals.sort()
-        return deposited
-
-    def cuts(self, campaign_id: str) -> Dict[int, List[int]]:
-        """Cut points per batch, sorted: ``{index: [at, …]}``.
-
-        Cut markers are scheduling hints only — an unreadable marker is
-        skipped (the deposit coverage protocol keeps correctness).
-        """
-        points: Dict[int, set] = {}
-        for relpath in self.store.list(f"campaigns/{campaign_id}/splits/*.json"):
-            match = _CUT_NAME.search(relpath)
-            if match is None:
-                continue
-            payload = self._read_json(relpath)
-            if payload is None:
-                continue
-            try:
-                at = int(payload["at"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError):
-                continue
-            points.setdefault(int(match.group(1)), set()).add(at)
-        return {index: sorted(cuts) for index, cuts in points.items()}
+        manifest = self.manifest(campaign_id)
+        return None if manifest is None else _CampaignView(self, campaign_id, manifest)
 
     def add_cut(self, campaign_id: str, index: int, at: int, worker_id: str) -> bool:
         """Record a split point for a batch; first writer wins.
@@ -468,110 +549,6 @@ class WorkQueue:
             allow_nan=False,
         )
         return self.store.try_create(_cut_path(campaign_id, index, seq), payload)
-
-    @staticmethod
-    def _covered(intervals: Sequence[Tuple[int, int]], num: int) -> bytearray:
-        """Positions of a batch covered by deposited parts (1 = covered)."""
-        covered = bytearray(num)
-        for start, count in intervals:
-            for position in range(max(start, 0), min(start + count, num)):
-                covered[position] = 1
-        return covered
-
-    def pending(
-        self, campaign_id: str, manifest: Optional[Dict[str, object]] = None
-    ) -> List[int]:
-        """Batch indices whose deposited parts do not cover every task.
-
-        Pass an already-loaded ``manifest`` to skip re-reading it (the
-        worker scan and the submitter's wait loop poll this frequently).
-        """
-        manifest = manifest if manifest is not None else self.manifest(campaign_id)
-        if manifest is None:
-            return []
-        deposited = self.parts(campaign_id)
-        return [
-            index
-            for index, num in enumerate(self.batch_sizes(manifest))
-            if not all(self._covered(deposited.get(index, ()), num))
-        ]
-
-    def batch_done(
-        self, campaign_id: str, index: int, manifest: Optional[Dict[str, object]] = None
-    ) -> bool:
-        """Whether the batch's deposited parts cover all of its tasks."""
-        manifest = manifest if manifest is not None else self.manifest(campaign_id)
-        if manifest is None:
-            return False
-        num = self.batch_sizes(manifest)[index]
-        deposited = self.parts(campaign_id).get(index, ())
-        return all(self._covered(deposited, num))
-
-    def claimable_units(
-        self,
-        campaign_id: str,
-        manifest: Dict[str, object],
-        deposited: Optional[Dict[int, List[Tuple[int, int]]]] = None,
-    ) -> List[Tuple[int, int, int]]:
-        """Intervals ``(batch_index, start, end)`` with uncovered tasks.
-
-        Intervals are bounded by the batch's cut markers; every interval
-        returned has at least one task without a deposited record.  The
-        caller still races for the interval's lease — this is a scan,
-        not a claim.  Pass an already-listed ``deposited`` parts map to
-        avoid a redundant store listing (the supervisor's metrics scan).
-        """
-        deposited = deposited if deposited is not None else self.parts(campaign_id)
-        cut_points = self.cuts(campaign_id)
-        units: List[Tuple[int, int, int]] = []
-        for index, num in enumerate(self.batch_sizes(manifest)):
-            covered = self._covered(deposited.get(index, ()), num)
-            if all(covered):
-                continue
-            bounds = sorted(
-                {0, num, *(at for at in cut_points.get(index, ()) if 0 < at < num)}
-            )
-            for start, end in zip(bounds, bounds[1:]):
-                if not all(covered[start:end]):
-                    units.append((index, start, end))
-        return units
-
-    def batch_cuts(self, campaign_id: str, index: int) -> List[int]:
-        """Sorted cut points of one batch (a listing scoped to it, so
-        polling a single interval never scans the whole campaign)."""
-        points = set()
-        for relpath in self.store.list(f"campaigns/{campaign_id}/splits/{index:05d}.*.json"):
-            if _CUT_NAME.search(relpath) is None:
-                continue
-            payload = self._read_json(relpath)
-            if payload is None:
-                continue
-            try:
-                points.add(int(payload["at"]))  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError):
-                continue
-        return sorted(points)
-
-    def unit_end(self, campaign_id: str, index: int, start: int, num: int) -> int:
-        """The current end of the interval starting at ``start``: the
-        first cut marker after it, or the batch end.  Re-read between
-        execution chunks so a thief's split takes effect mid-flight."""
-        after = [at for at in self.batch_cuts(campaign_id, index) if start < at < num]
-        return min(after) if after else num
-
-    def unit_covered(self, campaign_id: str, index: int, start: int, num: int) -> bool:
-        """Whether deposited parts already cover the interval starting at
-        ``start`` (up to its current end).  Workers re-check this after
-        acquiring a lease: a peer may have deposited the interval between
-        the claimable scan and the claim, and re-executing a whole
-        covered interval would only produce a shadowed duplicate."""
-        end = self.unit_end(campaign_id, index, start, num)
-        covered = self._covered(self.parts(campaign_id).get(index, ()), num)
-        return all(covered[start:end])
-
-    def complete(self, campaign_id: str) -> bool:
-        """Whether every batch of the campaign is fully covered."""
-        return self.manifest(campaign_id) is not None and not self.pending(campaign_id)
 
     # ------------------------------------------------------------------
     # Leases
@@ -622,13 +599,13 @@ class WorkQueue:
             if self.store.try_create(path, self._lease_payload(lease)):
                 return self._claim_won(lease, claim_began)
             return None
-        heartbeat_at = float(existing.get("heartbeat_at", 0.0))
-        existing_ttl = float(existing.get("ttl", ttl))
-        if time.time() - heartbeat_at <= existing_ttl:
+        now = time.time()
+        if _lease_live(existing, now):
             return None
         logger.warning(
             "breaking expired lease on %s/%05d.p%05d (worker %s, heartbeat %.1fs ago)",
-            campaign_id, index, start, existing.get("worker"), time.time() - heartbeat_at,
+            campaign_id, index, start, existing.get("worker"),
+            now - float(existing.get("heartbeat_at", 0.0)),
         )
         if self.store.delete(path):
             self._m_lease_breaks.inc()
@@ -671,13 +648,10 @@ class WorkQueue:
     def leases(self, campaign_id: str) -> Dict[Tuple[int, int], Dict[str, object]]:
         """All readable leases of a campaign: ``{(index, start): payload}``.
 
-        Each payload additionally carries ``age`` (seconds since its
-        heartbeat, by this host's clock) and ``progress`` normalised to
-        an ``int`` — the inputs of steal-candidate selection and of the
-        supervisor's liveness accounting.
+        Each payload's ``progress`` is normalised to an ``int`` — the
+        input of steal-candidate selection.
         """
         found: Dict[Tuple[int, int], Dict[str, object]] = {}
-        now = time.time()
         for relpath in self.store.list(f"campaigns/{campaign_id}/leases/*.json"):
             match = _LEASE_NAME.search(relpath)
             if match is None:
@@ -687,7 +661,6 @@ class WorkQueue:
                 continue
             index, start = int(match.group(1)), int(match.group(2))
             payload = dict(payload)
-            payload["age"] = now - float(payload.get("heartbeat_at", 0.0))
             raw_progress = payload.get("progress", start)
             payload["progress"] = (
                 int(raw_progress) if isinstance(raw_progress, (int, float)) else start
@@ -794,17 +767,16 @@ class WorkQueue:
         (steals, lease races) are resolved deterministically.  A batch
         with uncovered positions raises :class:`IncompleteCampaignError`.
         """
-        manifest = self.manifest(campaign_id)
-        if manifest is None:
+        view = self.scan(campaign_id)
+        if view is None:
             raise KeyError(f"no campaign {campaign_id!r} in queue {self.queue_dir}")
-        decode = ReducedRecord.from_dict if manifest["kind"] == "reduced" else RunRecord.from_dict
-        sizes = self.batch_sizes(manifest)
-        deposited = self.parts(campaign_id)
+        kind = view.manifest["kind"]
+        decode = ReducedRecord.from_dict if kind == "reduced" else RunRecord.from_dict
         records: List[Union[RunRecord, ReducedRecord]] = []
         worker_stats: Dict[str, RunnerStats] = {}
-        for index, num in enumerate(sizes):
+        for index, num in enumerate(view.sizes):
             slots: List[Optional[Dict[str, object]]] = [None] * num
-            for start, count in deposited.get(index, ()):
+            for start, count in view.deposited.get(index, ()):
                 relpath = _part_path(campaign_id, index, start, count)
                 payload = self._read_json(relpath)
                 if payload is None:
@@ -831,7 +803,7 @@ class WorkQueue:
                 if len(payload.get("records", ())) != count:
                     # A parseable deposit that under- or over-fills its
                     # declared interval (torn write on a non-atomic
-                    # backend, buggy foreign writer).  pending() counts
+                    # backend, buggy foreign writer).  The scan counts
                     # coverage from filenames, so leaving the file would
                     # make wait() succeed and collect() fail forever —
                     # discard it so the interval genuinely requeues.
@@ -930,22 +902,18 @@ class WorkQueue:
             return self._degraded_fleet_metrics("listing campaigns", exc)
         for campaign_id in campaign_ids:
             try:
-                manifest = self.manifest(campaign_id)
-                if manifest is None:
+                view = self.scan(campaign_id)
+                if view is None:
                     continue
-                deposited = self.parts(campaign_id)
-                deposited_parts += sum(len(parts) for parts in deposited.values())
-                units = self.claimable_units(campaign_id, manifest, deposited=deposited)
+                deposited_parts += sum(map(len, view.deposited.values()))
+                units = view.units()
                 pending_batches += len({index for index, _, _ in units})
                 claimable_units += len(units)
                 lease_map = self.leases(campaign_id)
+                now = time.time()
                 for index, start, _ in units:
                     payload = lease_map.get((index, start))
-                    live = (
-                        payload is not None
-                        and float(payload["age"]) <= float(payload.get("ttl", DEFAULT_LEASE_TTL))
-                    )
-                    if live:
+                    if payload is not None and _lease_live(payload, now):
                         worker = str(payload.get("worker", "?"))
                         live_leases[worker] = live_leases.get(worker, 0) + 1
                     else:
@@ -1091,9 +1059,9 @@ class _LeaseHeartbeat(threading.Thread):
     progress, which makes thieves steal already-reserved tasks —
     absorbed by duplicate execution).  If the lease is lost (broken by
     a peer after a stall longer than the TTL), the thread stops
-    refreshing and flags it; the worker still finishes the interval —
-    duplicate execution is safe — but its deposit may be shadowed by
-    the thief's at collect time.
+    refreshing; the worker still finishes the interval — duplicate
+    execution is safe — but its deposit may be shadowed by the thief's
+    at collect time.
     """
 
     def __init__(self, queue: WorkQueue, lease: Lease) -> None:
@@ -1102,7 +1070,6 @@ class _LeaseHeartbeat(threading.Thread):
         self.lease = lease
         self.progress = lease.start
         self.interval = max(lease.ttl / 3.0, 0.05)
-        self.lost = False
         self._stop_event = threading.Event()
 
     def run(self) -> None:
@@ -1113,7 +1080,6 @@ class _LeaseHeartbeat(threading.Thread):
                 logger.warning("heartbeat failed transiently: %s", exc)
                 continue
             if not alive:
-                self.lost = True
                 logger.warning(
                     "lost lease on %s/%05d.p%05d while executing it",
                     self.lease.campaign_id, self.lease.batch_index, self.lease.start,
@@ -1156,15 +1122,12 @@ class Worker:
         ttl: float = DEFAULT_LEASE_TTL,
         poll_interval: float = 0.5,
         steal: bool = True,
-        min_steal: int = DEFAULT_MIN_STEAL,
-        snapshot_interval: Optional[float] = None,
     ) -> None:
         self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.ttl = ttl
         self.poll_interval = poll_interval
         self.steal = steal
-        self.min_steal = max(2, min_steal)
         self.runner = CampaignRunner(
             jobs=jobs,
             timeout=timeout,
@@ -1179,14 +1142,9 @@ class Worker:
         # Observability: counters live in the queue's registry (shared
         # with any supervisor in this process); snapshot deposits are
         # throttled to roughly a quarter TTL so even short-lived leases
-        # leave a few monotone samples behind, and gated by REPRO_METRICS.
+        # leave a few monotone samples behind.
         self.metrics = self.queue.metrics
-        self._metrics_on = metrics_enabled()
-        self._snapshot_interval = (
-            snapshot_interval
-            if snapshot_interval is not None
-            else max(0.5, min(5.0, ttl / 4.0))
-        )
+        self._snapshot_interval = max(0.5, min(5.0, ttl / 4.0))
         self._last_snapshot_at = float("-inf")
         self._m_units = self.metrics.counter("repro_worker_units_total")
         self._m_steals = self.metrics.counter("repro_worker_steals_total")
@@ -1209,8 +1167,6 @@ class Worker:
         disk or flaky store only costs a stale snapshot, never a lost
         interval.
         """
-        if not self._metrics_on:
-            return
         now = time.monotonic()
         if not force and now - self._last_snapshot_at < self._snapshot_interval:
             return
@@ -1235,39 +1191,14 @@ class Worker:
         """One scan over the queue; returns how many intervals were executed."""
         executed = 0
         for campaign_id in self.queue.campaigns():
-            manifest = self.queue.manifest(campaign_id)
-            if manifest is None:
+            view = self.queue.scan(campaign_id)
+            if view is None:
                 continue
-            for index, start, _ in self.queue.claimable_units(campaign_id, manifest):
+            for index, start, _ in view.units():
                 if self._retire_pending():
                     return executed
-                lease = self.queue.try_acquire(
-                    campaign_id, index, self.worker_id, ttl=self.ttl, start=start
-                )
-                if lease is None:
-                    continue
-                num = self.queue.batch_sizes(manifest)[index]
-                if self.queue.unit_covered(campaign_id, index, start, num):
-                    # A peer covered this interval between our scan and
-                    # the claim; don't execute it twice.
-                    self.queue.release(lease)
-                    continue
-                try:
-                    if self._execute_unit(manifest, lease):
-                        executed += 1
-                        self._maybe_deposit_metrics()
-                except Exception as exc:
-                    # Infra failure (not a run failure: those become
-                    # failure records).  Leave the interval for a retry.
-                    logger.warning(
-                        "interval %s/%05d.p%05d failed in worker %s (%s: %s); "
-                        "releasing for retry",
-                        campaign_id, index, start, self.worker_id,
-                        type(exc).__name__, exc,
-                    )
-                finally:
-                    self.queue.release(lease)
-        self.batches_executed += executed
+                if self._claim(view, index, start):
+                    executed += 1
         return executed
 
     # ------------------------------------------------------------------
@@ -1279,66 +1210,82 @@ class Worker:
         Candidate selection reads every live lease's published progress;
         the cut lands halfway into the unstarted remainder (binary work
         splitting: repeated steals converge the fleet onto even shares),
-        at least :attr:`min_steal` tasks from the end.  Returns how many
+        at least :data:`MIN_STEAL` tasks from the end.  Returns how many
         stolen intervals were executed (0 or 1); always 0 for a worker
         constructed with ``steal=False``.
         """
         if not self.steal:
             return 0
-        best: Optional[Tuple[int, str, Dict[str, object], int, int]] = None
+        best: Optional[Tuple[int, _CampaignView, int, int]] = None
         for campaign_id in self.queue.campaigns():
-            manifest = self.queue.manifest(campaign_id)
-            if manifest is None:
+            view = self.queue.scan(campaign_id)
+            if view is None:
                 continue
-            sizes = self.queue.batch_sizes(manifest)
-            deposited = self.queue.parts(campaign_id)
-            cut_points = self.queue.cuts(campaign_id)
-            for (index, start), payload in self.queue.leases(campaign_id).items():
-                if payload.get("worker") == self.worker_id:
+            leases = self.queue.leases(campaign_id)
+            now = time.time()
+            for (index, start), payload in leases.items():
+                if payload.get("worker") == self.worker_id or not _lease_live(payload, now):
+                    continue  # ours, or expired: claimable through the normal scan
+                if not 0 <= index < len(view.sizes):
                     continue
-                if float(payload["age"]) > float(payload.get("ttl", self.ttl)):
-                    continue  # expired: claimable through the normal scan
-                num = sizes[index] if 0 <= index < len(sizes) else 0
-                if num == 0:
-                    continue
-                covered = self.queue._covered(deposited.get(index, ()), num)
-                after = [at for at in cut_points.get(index, ()) if start < at < num]
-                end = min(after) if after else num
-                if all(covered[start:end]):
+                end = view.end(index, start)
+                if view.covered(index, start, end):
                     continue  # stale lease over finished work
-                reserved = max(int(payload["progress"]), start)
-                free = end - reserved
-                if free < self.min_steal:
-                    continue
-                cut_at = end - free // 2
-                if best is None or free > best[0]:
-                    best = (free, campaign_id, manifest, index, cut_at)
+                free = end - max(int(payload["progress"]), start)
+                if free >= MIN_STEAL and (best is None or free > best[0]):
+                    best = (free, view, index, end - free // 2)
         if best is None:
             return 0
-        _, campaign_id, manifest, index, cut_at = best
-        if not self.queue.add_cut(campaign_id, index, cut_at, self.worker_id):
+        _, view, index, cut_at = best
+        if not self.queue.add_cut(view.campaign_id, index, cut_at, self.worker_id):
             return 0  # lost the marker race; re-scan next loop
+        if not self._claim(view, index, cut_at):
+            return 0
+        self.steals += 1
+        self._m_steals.inc()
+        return 1
+
+    def _claim(self, view: _CampaignView, index: int, start: int) -> bool:
+        """Acquire, re-check, execute and release one interval.
+
+        Returns whether the interval was executed.  The re-check reads
+        the batch afresh: a peer may have covered the interval between
+        the caller's scan and the claim, and executing it again would
+        only produce a shadowed duplicate.  An infrastructure failure
+        (not a run failure: those become failure records) is logged and
+        leaves the interval for a retry.
+        """
         lease = self.queue.try_acquire(
-            campaign_id, index, self.worker_id, ttl=self.ttl, start=cut_at
+            view.campaign_id, index, self.worker_id, ttl=self.ttl, start=start
         )
         if lease is None:
-            return 0
-        num = self.queue.batch_sizes(manifest)[index]
-        if self.queue.unit_covered(campaign_id, index, cut_at, num):
-            self.queue.release(lease)
-            return 0
+            return False
         try:
-            executed = int(self._execute_unit(manifest, lease))
+            batch = view.rescan(index)
+            if batch.covered(index, start, batch.end(index, start)):
+                return False
+            executed = self._execute_unit(batch, lease)
+        except Exception as exc:
+            logger.warning(
+                "interval %s/%05d.p%05d failed in worker %s (%s: %s); "
+                "releasing for retry",
+                view.campaign_id, index, start, self.worker_id,
+                type(exc).__name__, exc,
+            )
+            return False
         finally:
             self.queue.release(lease)
         if executed:
-            self.steals += 1
             self.batches_executed += 1
-            self._m_steals.inc()
             self._maybe_deposit_metrics()
         return executed
 
-    def _execute_unit(self, manifest: Dict[str, object], lease: Lease) -> bool:
+    def _execute_unit(self, batch: _CampaignView, lease: Lease) -> bool:
+        """Execute a claimed interval in chunks and deposit its records.
+
+        ``batch`` is the claim's re-check view of the interval's batch.
+        """
+        manifest = batch.manifest
         reducer = None
         try:
             tasks = self.queue.load_batch(lease.campaign_id, lease.batch_index)
@@ -1359,20 +1306,21 @@ class Worker:
             key = (lease.campaign_id, lease.batch_index)
             self._load_failures[key] = self._load_failures.get(key, 0) + 1
             if self._load_failures[key] >= 3:
-                num = self.queue.batch_sizes(manifest)[lease.batch_index]
                 self.queue.poison(
                     lease.campaign_id,
                     lease.batch_index,
-                    num,
+                    batch.sizes[lease.batch_index],
                     self.worker_id,
                     "batch payload unreadable (corrupt file or incompatible "
                     "repro version on this worker)",
                 )
             return False
-        num = len(tasks)
         heartbeat = _LeaseHeartbeat(self.queue, lease)
         heartbeat.start()
         before = self.runner.stats.snapshot()
+        # (position, stats) at every chunk boundary, so the deposit can
+        # carry the stats of exactly the chunks it deposits.
+        marks: List[Tuple[int, RunnerStats]] = []
         unit_began = time.perf_counter()
         chunk = max(1, self.runner.jobs)
         # Store I/O between chunks (cut re-reads, synchronous progress
@@ -1383,21 +1331,17 @@ class Worker:
         # progress value only makes thieves steal already-reserved tasks.
         sync_interval = max(0.05, min(0.5, lease.ttl / 20.0))
         last_sync = float("-inf")
-        end = num
+        # The interval's end is dynamic: a thief's cut marker shrinks it
+        # mid-flight.  The claim's re-check has just read it; it is read
+        # again on the sync cadence and whenever execution reaches it, so
+        # the deposit below sees every cut that landed before it.
+        end = batch.end(lease.batch_index, lease.start)
         records: List[Union[RunRecord, ReducedRecord]] = []
         position = lease.start
         try:
-            while True:
+            while position < end:
                 now = time.monotonic()
-                if now - last_sync >= sync_interval:
-                    last_sync = now
-                    # The interval's end is dynamic: a thief's cut marker
-                    # shrinks it mid-flight.
-                    end = self.queue.unit_end(
-                        lease.campaign_id, lease.batch_index, lease.start, num
-                    )
-                if position >= end:
-                    break
+                sync = now - last_sync >= sync_interval
                 reserve = min(position + chunk, end)
                 # Publish the reservation *before* executing it (through
                 # the heartbeat thread's next refresh, and synchronously
@@ -1405,7 +1349,8 @@ class Worker:
                 # rarely cuts inside work we are about to run — and a
                 # stale read still only costs duplicate execution.
                 heartbeat.progress = reserve
-                if last_sync == now:
+                if sync:
+                    last_sync = now
                     self.queue.heartbeat(lease, progress=reserve)
                 window = tasks[position:reserve]
                 if reducer is not None:
@@ -1413,19 +1358,29 @@ class Worker:
                 else:
                     records.extend(self.runner.run_tasks(window, capture_errors=True))
                 position = reserve
+                marks.append((position, self.runner.stats.snapshot()))
+                if position >= end or time.monotonic() - last_sync >= sync_interval:
+                    end = batch.rescan(lease.batch_index).end(lease.batch_index, lease.start)
         finally:
             heartbeat.stop()
-        delta = self.runner.stats.since(before)
-        self._observe_unit(delta, time.perf_counter() - unit_began)
+        self._observe_unit(self.runner.stats.since(before), time.perf_counter() - unit_began)
         if not records:
             return False
+        # A cut the last read found behind ``position`` means this worker
+        # over-ran a thief's tail.  Runs there that came from the cache
+        # are the thief's: deposit up to the cut, so the thief's deposit
+        # and its stats count.  Runs there that this worker executed stay
+        # in its deposit, which shadows the thief's duplicate at collect.
+        kept = next(stats for reach, stats in marks if reach >= end)
+        if kept.cache_hits == self.runner.stats.cache_hits:
+            end, kept = position, self.runner.stats
         deposited = self.queue.write_result(
             lease.campaign_id,
             lease.batch_index,
             lease.start,
-            records,
+            records[: end - lease.start],
             self.worker_id,
-            delta,
+            kept.since(before),
         )
         if not deposited:
             logger.info(
@@ -1577,7 +1532,6 @@ class Supervisor:
         worker_poll_interval: float = 0.2,
         idle_grace: float = 3.0,
         worker_max_idle: float = 600.0,
-        steal: bool = True,
         spawn: Optional[Callable[[str], object]] = None,
         on_status: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> None:
@@ -1609,7 +1563,6 @@ class Supervisor:
         self.worker_poll_interval = worker_poll_interval
         self.idle_grace = idle_grace
         self.worker_max_idle = worker_max_idle
-        self.steal = steal
         self.stats = SupervisorStats()
         self.workers: List[_ManagedWorker] = []
         self._spawn = spawn if spawn is not None else self._spawn_process
@@ -1645,8 +1598,6 @@ class Supervisor:
             command += ["--backend", self.backend]
         if self.timeout is not None:
             command += ["--timeout", str(self.timeout)]
-        if not self.steal:
-            command += ["--no-steal"]
         return subprocess.Popen(
             command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
         )
@@ -1739,10 +1690,6 @@ class Supervisor:
         if self._on_status is not None:
             self._on_status(status)
         return status
-
-    def fleet_metrics(self) -> Dict[str, object]:
-        """The merged live fleet view (see :func:`fleet_status`)."""
-        return fleet_status(self.queue)
 
     def run(
         self,
@@ -1974,10 +1921,9 @@ class DistributedCampaignRunner(_Pipeline):
         timeout = timeout if timeout is not None else self.wait_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            # One manifest read per poll, shared with the pending scan.
-            manifest = self.queue.manifest(campaign_id)
-            pending = self.queue.pending(campaign_id, manifest=manifest)
-            if manifest is not None and not pending:
+            view = self.queue.scan(campaign_id)
+            pending = [] if view is None else view.pending()
+            if view is not None and not pending:
                 return
             if deadline is not None and time.monotonic() >= deadline:
                 raise RunTimeoutError(

@@ -21,6 +21,7 @@ import random
 import signal
 import threading
 import time
+import types
 
 import pytest
 
@@ -117,7 +118,7 @@ class TestWorkQueue:
         manifest = queue.manifest(first)
         assert manifest["num_tasks"] == len(tasks)
         assert manifest["num_batches"] == -(-len(tasks) // 4)
-        assert queue.pending(first) == list(range(manifest["num_batches"]))
+        assert queue.scan(first).pending() == list(range(manifest["num_batches"]))
 
     def test_batches_preserve_task_order(self, tmp_path):
         queue = WorkQueue(tmp_path)
@@ -172,10 +173,10 @@ class TestWorkQueue:
         queue.store.write_text(
             f"campaigns/{campaign_id}/results/00000.p00000-{len(tasks):05d}.json", ""
         )
-        assert queue.pending(campaign_id) == []  # looks complete ...
+        assert queue.scan(campaign_id).pending() == []  # looks complete ...
         with pytest.raises(RuntimeError, match="corrupt deposit discarded"):
             queue.collect(campaign_id)
-        assert queue.pending(campaign_id) == [0]  # ... requeued now
+        assert queue.scan(campaign_id).pending() == [0]  # ... requeued now
 
     def test_misfilled_deposit_is_discarded_and_requeued(self, tmp_path):
         """A parseable deposit whose record list under-fills the interval
@@ -190,10 +191,41 @@ class TestWorkQueue:
             json.dumps({"schema": 2, "worker": "liar", "start": 0,
                         "stats": {}, "records": []}),
         )
-        assert queue.pending(campaign_id) == []  # filenames look complete ...
+        assert queue.scan(campaign_id).pending() == []  # filenames look complete ...
         with pytest.raises(RuntimeError, match="mis-filled deposit discarded"):
             queue.collect(campaign_id)
-        assert queue.pending(campaign_id) == [0]  # ... requeued for real now
+        assert queue.scan(campaign_id).pending() == [0]  # ... requeued for real now
+
+    def test_scan_coverage_matches_a_position_by_position_reference(self, tmp_path):
+        """The view's sweep over sorted intervals agrees with marking
+        every covered position, on random overlapping and gapped
+        deposit layouts (coverage is read from part filenames only)."""
+        from repro.runner.distributed import _part_path
+
+        rng = random.Random(7)
+        queue = WorkQueue(tmp_path)
+        tasks = [task_from_spec(spec) for spec in demo_spec(runs=2).expand()]
+        campaign_id = queue.submit(tasks, batch_size=len(tasks))
+        num = len(tasks)
+        for _ in range(40):
+            for relpath in queue.store.list(f"campaigns/{campaign_id}/results/*.json"):
+                queue.store.delete(relpath)
+            layout = {
+                (rng.randrange(num), rng.randrange(1, num + 1)) for _ in range(rng.randrange(4))
+            }
+            for start, count in layout:
+                queue.store.write_text(_part_path(campaign_id, 0, start, count), "")
+            marked = {
+                position
+                for start, count in layout
+                for position in range(start, min(start + count, num))
+            }
+            view = queue.scan(campaign_id)
+            for start in range(num + 1):
+                for end in range(start, num + 1):
+                    expected = marked.issuperset(range(start, end))
+                    assert view.covered(0, start, end) == expected, (layout, start, end)
+            assert view.pending() == ([] if len(marked) == num else [0])
 
     def test_result_files_are_first_writer_wins(self, tmp_path):
         from repro.runner.records import RunnerStats, RunRecord
@@ -204,7 +236,7 @@ class TestWorkQueue:
         records = [RunRecord(agreement=True) for _ in tasks]
         assert queue.write_result(campaign_id, 0, 0, records, "alice", RunnerStats())
         assert not queue.write_result(campaign_id, 0, 0, records, "bob", RunnerStats())
-        assert queue.batch_done(campaign_id, 0)
+        assert 0 not in queue.scan(campaign_id).pending()
         _, worker_stats = queue.collect(campaign_id)
         assert set(worker_stats) == {"alice"}
 
@@ -327,7 +359,7 @@ class TestCrashRecovery:
             time.sleep(0.02)
         victim.kill()
         victim.join(timeout=10)
-        assert queue.pending(campaign_id), "victim should have died before completing"
+        assert queue.scan(campaign_id).pending(), "victim should have died before completing"
 
         rescuer = mp.Process(
             target=run_worker,
@@ -388,7 +420,7 @@ class TestSubmitterSemantics:
         assert all(record.timed_out for record in first.records)
         assert first.stats.timeouts == len(first.records)
         # The failure reports were collected, then dropped from the queue.
-        assert queue.pending(campaign_id) != []
+        assert queue.scan(campaign_id).pending() != []
 
         healthy = Worker(queue, worker_id="healthy", ttl=30)
         while healthy.run_once():
@@ -415,12 +447,12 @@ class TestSubmitterSemantics:
         for _ in range(3):  # poisoned after three local load failures
             worker.run_once()
         worker.close()
-        assert queue.complete(campaign_id)
+        assert queue.scan(campaign_id).pending() == []
         with pytest.raises(RuntimeError, match="poisoned"):
             queue.collect(campaign_id)
         # The poison marker is not sticky: the batch requeues, so fixing
         # the fleet and resubmitting retries it.
-        assert queue.pending(campaign_id) == [0]
+        assert queue.scan(campaign_id).pending() == [0]
 
     def test_injected_store_carries_the_cache_too(self, tmp_path):
         """WorkQueue(store=...) must route the fleet cache through the
@@ -465,7 +497,7 @@ class TestSubmitterSemantics:
         worker = Worker(WorkQueue(tmp_path / "queue"), worker_id="inline", ttl=30)
         assert worker.run_once() > 0
         worker.close()
-        assert runner.queue.complete(campaign_id)
+        assert runner.queue.scan(campaign_id).pending() == []
 
         distributed = runner.run_reduced_campaign(spec, reducer)
         assert [record.as_dict() for record in serial.records] == [
@@ -617,11 +649,10 @@ class TestWorkStealing:
         queue = WorkQueue(tmp_path)
         tasks = [task_from_spec(spec) for spec in demo_spec(runs=2).expand()]
         campaign_id = queue.submit(tasks, batch_size=len(tasks))
-        manifest = queue.manifest(campaign_id)
         num = len(tasks)
-        assert queue.claimable_units(campaign_id, manifest) == [(0, 0, num)]
+        assert queue.scan(campaign_id).units() == [(0, 0, num)]
         assert queue.add_cut(campaign_id, 0, num // 2, "thief")
-        assert queue.claimable_units(campaign_id, manifest) == [
+        assert queue.scan(campaign_id).units() == [
             (0, 0, num // 2),
             (0, num // 2, num),
         ]
@@ -633,8 +664,8 @@ class TestWorkStealing:
             [RunRecord(agreement=True) for _ in range(num - num // 2)],
             "thief", RunnerStats(),
         )
-        assert queue.claimable_units(campaign_id, manifest) == [(0, 0, num // 2)]
-        assert queue.pending(campaign_id) == [0]
+        assert queue.scan(campaign_id).units() == [(0, 0, num // 2)]
+        assert queue.scan(campaign_id).pending() == [0]
 
     def test_claimed_interval_already_covered_is_not_reexecuted(self, tmp_path):
         """A peer can deposit an interval between a worker's claimable
@@ -647,14 +678,19 @@ class TestWorkStealing:
         campaign_id = queue.submit(tasks, batch_size=len(tasks))
         num = len(tasks)
         queue.add_cut(campaign_id, 0, num // 2, "thief")
-        assert not queue.unit_covered(campaign_id, 0, 0, num)
+
+        def unit_covered(start):
+            view = queue.scan(campaign_id).rescan(0)
+            return view.covered(0, start, view.end(0, start))
+
+        assert not unit_covered(0)
         queue.write_result(
             campaign_id, 0, num // 2,
             [RunRecord(agreement=True) for _ in range(num - num // 2)],
             "peer", RunnerStats(),
         )
-        assert queue.unit_covered(campaign_id, 0, num // 2, num)
-        assert not queue.unit_covered(campaign_id, 0, 0, num)
+        assert unit_covered(num // 2)
+        assert not unit_covered(0)
 
     def test_fully_shadowed_deposits_do_not_inflate_worker_stats(self, tmp_path):
         """Two racing deposits covering the same interval under different
@@ -678,15 +714,81 @@ class TestWorkStealing:
         assert set(worker_stats) == {"winner"}
         assert worker_stats["winner"].executed == num
 
+    @pytest.mark.parametrize("thief_first", [True, False], ids=["thief-first", "victim-first"])
+    def test_victim_over_running_a_cut_credits_each_run_once(
+        self, tmp_path, monkeypatch, thief_first
+    ):
+        """A victim whose cut read predates a thief's cut at 4 over-runs
+        the stolen tail [4, 8).  If the thief ran the tail first, the
+        victim's runs there are cache hits: its deposit stops at the cut,
+        so the thief's deposit and stats count.  If the victim ran it
+        first, the thief's runs are the cache hits: the victim's deposit
+        keeps the tail and shadows the thief's.  Either way every run is
+        credited once, to the worker that executed it."""
+        from repro.runner import distributed
+
+        spec = demo_spec(runs=2, campaign_id="dist-stale-cut")
+        serial = CampaignRunner().run_campaign(spec)
+        queue = WorkQueue(tmp_path)
+        tasks = [task_from_spec(run) for run in spec.expand()]
+        campaign_id = queue.submit(tasks, batch_size=len(tasks))
+        assert len(tasks) == 8
+
+        # A frozen monotonic clock keeps the victim off its sync cadence:
+        # it sees the thief's cut only if it reads the cuts again before
+        # depositing.
+        frozen = types.SimpleNamespace(**{**vars(time), "monotonic": lambda: 0.0})
+        monkeypatch.setattr(distributed, "time", frozen)
+
+        victim = Worker(queue, worker_id="victim", ttl=30)
+        thief = Worker(WorkQueue(tmp_path), worker_id="thief", ttl=30)
+        run_tasks = victim.runner.run_tasks
+        ran = []
+        outcomes = []
+
+        def run_tasks_with_thief(window, capture_errors=False):
+            ran.extend(window)
+            if len(ran) == 1:
+                # Mid-flight, a thief cuts at 4 ...
+                outcomes.append(queue.add_cut(campaign_id, 0, 4, "thief"))
+                if thief_first:
+                    # ... and executes [4, 8) before the victim gets there,
+                    outcomes.append(thief.run_once())
+            records = run_tasks(window, capture_errors=capture_errors)
+            if not thief_first and len(ran) == len(tasks):
+                # ... or after the victim has executed it.
+                outcomes.append(thief.run_once())
+            return records
+
+        monkeypatch.setattr(victim.runner, "run_tasks", run_tasks_with_thief)
+        assert victim.run_once() == 1
+        victim.close()
+        thief.close()
+        assert outcomes == [True, 1]
+        assert len(ran) == 8  # the victim ran past the cut
+        # Whoever reached [4, 8) second was served from the cache.
+        assert victim.runner.stats.cache_hits == (4 if thief_first else 0)
+        assert thief.runner.stats.cache_hits == (0 if thief_first else 4)
+
+        records, worker_stats = queue.collect(campaign_id)
+        assert [record.as_dict() for record in records] == [
+            record.as_dict() for record in serial.records
+        ]
+        credited = {name: stats.executed for name, stats in worker_stats.items()}
+        assert credited == ({"victim": 4, "thief": 4} if thief_first else {"victim": 8})
+        victim_part = (0, 4) if thief_first else (0, 8)
+        assert queue.scan(campaign_id).deposited == {0: [victim_part, (4, 4)]}
+
     def test_unit_end_shrinks_when_a_cut_lands_mid_flight(self, tmp_path):
         queue = WorkQueue(tmp_path)
         tasks = [task_from_spec(spec) for spec in demo_spec(runs=2).expand()]
         campaign_id = queue.submit(tasks, batch_size=len(tasks))
         num = len(tasks)
-        assert queue.unit_end(campaign_id, 0, 0, num) == num
+        view = queue.scan(campaign_id)
+        assert view.end(0, 0) == num
         queue.add_cut(campaign_id, 0, 5, "thief")
-        assert queue.unit_end(campaign_id, 0, 0, num) == 5
-        assert queue.unit_end(campaign_id, 0, 5, num) == num
+        assert view.rescan(0).end(0, 0) == 5
+        assert view.rescan(0).end(0, 5) == num
 
     @pytest.mark.slow
     def test_steal_splits_straggler_batch(self, tmp_path):
@@ -718,8 +820,9 @@ class TestWorkStealing:
         thief.close()
 
         assert thief.steals >= 1, "idle worker never stole from the straggler"
-        assert queue.cuts(campaign_id), "no cut marker was recorded"
-        parts = queue.parts(campaign_id)[0]
+        view = queue.scan(campaign_id)
+        assert view.cut_points, "no cut marker was recorded"
+        parts = view.deposited[0]
         assert len(parts) >= 2, f"expected split deposits, got {parts}"
 
         result = runner.run_campaign(spec)
@@ -765,7 +868,7 @@ class TestWorkStealing:
         assert sum(1 for won, _ in outcomes.values() if won) == 1
         winners = [lease for _, lease in outcomes.values() if lease is not None]
         assert len(winners) == 1, "both thieves claimed the stolen tail"
-        assert queue.cuts(campaign_id) == {0: [cut_at]}
+        assert queue.scan(campaign_id).cut_points == {0: [cut_at]}
 
         # Release everything and let one worker drain the campaign.
         queue.release(victim_lease)
@@ -817,20 +920,23 @@ class TestWorkStealing:
         # Kill the thief the moment its cut marker lands: it has claimed
         # the tail but cannot have deposited it yet (runs take ~rounds ×
         # delay seconds).
-        wait_until(lambda: queue.cuts(campaign_id), message="the thief's cut marker")
+        wait_until(
+            lambda: queue.scan(campaign_id).cut_points, message="the thief's cut marker"
+        )
         thief.kill()
         thief.join(timeout=10)
-        cut_at = queue.cuts(campaign_id)[0][0]
-        assert not queue.batch_done(campaign_id, 0)
+        cut_at = queue.scan(campaign_id).cut_points[0][0]
+        assert 0 in queue.scan(campaign_id).pending()
 
         # The victim (now the only live worker) finishes its head, then
         # recovers the orphaned tail — by re-stealing from the dead
         # thief's still-live lease and/or re-claiming it after the TTL.
         runner.wait(campaign_id)
         reap([victim])
-        parts = queue.parts(campaign_id)[0]
+        view = queue.scan(campaign_id)
+        parts = view.deposited[0]
         assert len(parts) >= 2, f"expected split deposits, got {parts}"
-        assert queue.batch_done(campaign_id, 0)
+        assert 0 not in view.pending()
         covered = sorted(position for start, count in parts for position in range(start, start + count))
         assert covered == list(range(8)), f"coverage gap: {parts} (cut at {cut_at})"
 
@@ -851,9 +957,9 @@ class TestWorkStealing:
 
         pacifist = Worker(queue, worker_id="pacifist", ttl=30, steal=False)
         assert pacifist.run_once() == 0  # the batch is leased
-        assert pacifist.steal_once() == 0 or not queue.cuts(campaign_id)
+        assert pacifist.steal_once() == 0 or not queue.scan(campaign_id).cut_points
         pacifist.close()
-        assert not queue.cuts(campaign_id)
+        assert not queue.scan(campaign_id).cut_points
         assert pacifist.steals == 0
 
 
@@ -880,7 +986,7 @@ class TestRetireProtocol:
         worker = Worker(queue, worker_id="w2", ttl=30, poll_interval=0.05)
         worker.run(max_idle=60.0)
         worker.close()
-        assert queue.pending(campaign_id), "retiring worker should not have claimed work"
+        assert queue.scan(campaign_id).pending(), "retiring worker should not have claimed work"
 
     def test_weird_worker_ids_cannot_escape_the_store(self, tmp_path):
         queue = WorkQueue(tmp_path)
@@ -1064,7 +1170,7 @@ class TestSupervisor:
         assert stats.spawned >= 1
         assert stats.peak_workers <= 2
         assert supervisor.workers == [], "fleet not fully retired"
-        assert runner.queue.complete(campaign_id)
+        assert runner.queue.scan(campaign_id).pending() == []
 
         result = runner.run_campaign(spec)  # pure cache/collect, no fleet
         assert [record.as_dict() for record in serial.records] == [
@@ -1087,7 +1193,7 @@ class TestObjectStoreFleet:
         while worker.run_once():
             pass
         worker.close()
-        assert queue.complete(campaign_id)
+        assert queue.scan(campaign_id).pending() == []
 
         result = runner.run_campaign(spec)
         assert [record.as_dict() for record in serial.records] == [
@@ -1114,9 +1220,10 @@ class TestObjectStoreFleet:
         thief = Worker(queue, worker_id="thief", ttl=30)
         assert thief.steal_once() == 1
         thief.close()
-        assert queue.cuts(campaign_id)[0], "no cut marker in the object store"
-        cut_at = queue.cuts(campaign_id)[0][0]
-        assert (cut_at, num - cut_at) in queue.parts(campaign_id)[0]
+        view = queue.scan(campaign_id)
+        assert view.cut_points[0], "no cut marker in the object store"
+        cut_at = view.cut_points[0][0]
+        assert (cut_at, num - cut_at) in view.deposited[0]
 
         # The victim's share still pends; drain it and compare.
         queue.release(victim_lease)
@@ -1195,7 +1302,7 @@ class TestChaosTier:
         samples = 0
         deadline = time.monotonic() + WAIT
         try:
-            while not queue.complete(campaign_id):
+            while queue.scan(campaign_id).pending():
                 assert time.monotonic() < deadline, "chaos campaign never completed"
                 time.sleep(rng.uniform(0.1, 0.5))  # a seeded poll boundary
 

@@ -163,22 +163,6 @@ class TestStatusCommand:
         assert "workers: 1 snapshot(s)" in text
         assert "leases: none" in text
 
-    def test_repro_metrics_off_suppresses_deposits_only(self, tmp_path, monkeypatch):
-        """REPRO_METRICS=off gates the snapshot files, not the in-memory
-        counters — rows and queue traffic are identical either way."""
-        monkeypatch.setenv("REPRO_METRICS", "off")
-        queue = WorkQueue(tmp_path)
-        tasks = [task_from_spec(spec) for spec in tiny_spec().expand()]
-        queue.submit(tasks, batch_size=2)
-        worker = Worker(queue, worker_id="w0", poll_interval=0.01)
-        while worker.run_once():
-            pass
-        worker._maybe_deposit_metrics(force=True)
-        assert not (tmp_path / "metrics").exists()
-        # In-memory instrumentation still ran.
-        assert queue.metrics.flat_values()["repro_worker_units_total"] >= 1
-        assert fleet_status(queue)["workers"] == []
-
     def test_json_output_is_strict_and_sorted(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path)
         queue.write_metric_snapshot("w0")
@@ -207,7 +191,7 @@ class TestFleetMetricsHardening:
         def explode(campaign_id):
             raise OSError("simulated store race")
 
-        monkeypatch.setattr(queue, "parts", explode)
+        monkeypatch.setattr(queue, "scan", explode)
         degraded = queue.fleet_metrics()
         assert degraded == good  # last-good, not an exception
 
@@ -242,14 +226,14 @@ class TestFleetMetricsHardening:
     ):
         queue = self.submit(tmp_path)
         good = queue.fleet_metrics()
-        original = queue.parts
+        original = queue.scan
 
         def explode(campaign_id):
             raise OSError("transient")
 
-        monkeypatch.setattr(queue, "parts", explode)
+        monkeypatch.setattr(queue, "scan", explode)
         assert queue.fleet_metrics() == good
-        monkeypatch.setattr(queue, "parts", original)
+        monkeypatch.setattr(queue, "scan", original)
         assert queue.fleet_metrics() == good
 
     def test_corrupt_metric_snapshot_is_skipped_by_fleet_status(self, tmp_path):
