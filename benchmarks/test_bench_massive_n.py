@@ -3,7 +3,7 @@
 Charts ``A_{T,E}`` decision latency and runtime at n ∈ {256, 512, 1024,
 2048} under random omission — far beyond the paper's figures — and
 pins the feasibility claim of the packed-bitset tier: the n = 1024
-sweep must complete under a 2 GB ``REPRO_BATCH_MEMORY_BUDGET`` at
+sweep must complete under the batch engine's 2 GiB memory budget at
 **≥ 3×** the ``fast`` backend's wall-clock.  The dense representation
 would need ~4 GB of reception matrix per 1000 runs at this size; the
 packed tier carries ~1/32 of that.
@@ -20,7 +20,6 @@ chunk counts and first/last decision-round latency per n.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
@@ -32,18 +31,19 @@ from repro.adversary import RandomOmissionAdversary
 from repro.algorithms import AteAlgorithm
 from repro.runner.records import RunRecord
 from repro.simulation import SimulationConfig, run_simulation
+from repro.simulation import batch_engine
 from repro.simulation.batch_engine import SimulationRequest, run_algorithm_batch
 from repro.workloads import generators
 
 MAX_ROUNDS = 10
 P_DROP = 0.1
 
-#: n -> (batch runs, fast probe runs, memory budget, speedup floor)
+#: n -> (batch runs, fast probe runs, speedup floor)
 SWEEPS = {
-    256: (24, 6, None, None),
-    512: (16, 4, None, None),
-    1024: (12, 3, "2g", 3.0),
-    2048: (6, 2, None, None),
+    256: (24, 6, None),
+    512: (16, 4, None),
+    1024: (12, 3, 3.0),
+    2048: (6, 2, None),
 }
 
 
@@ -80,7 +80,7 @@ def _latency(records):
 def test_bench_massive_n_packed_sweeps():
     """Packed tier ≥ 3× over fast at n = 1024 under a 2 GB budget."""
     measurements = {}
-    for n, (runs, fast_runs, budget, floor) in SWEEPS.items():
+    for n, (runs, fast_runs, floor) in SWEEPS.items():
         started = time.perf_counter()
         fast_results = [
             run_simulation(
@@ -92,19 +92,9 @@ def test_bench_massive_n_packed_sweeps():
         fast_probe_seconds = time.perf_counter() - started
         fast_seconds_est = fast_probe_seconds * (runs / fast_runs)
 
-        previous = os.environ.get("REPRO_BATCH_MEMORY_BUDGET")
-        if budget is not None:
-            os.environ["REPRO_BATCH_MEMORY_BUDGET"] = budget
-        try:
-            started = time.perf_counter()
-            batch_results = run_algorithm_batch(_requests(n, runs))
-            batch_seconds = time.perf_counter() - started
-        finally:
-            if budget is not None:
-                if previous is None:
-                    del os.environ["REPRO_BATCH_MEMORY_BUDGET"]
-                else:  # pragma: no cover - env hygiene
-                    os.environ["REPRO_BATCH_MEMORY_BUDGET"] = previous
+        started = time.perf_counter()
+        batch_results = run_algorithm_batch(_requests(n, runs))
+        batch_seconds = time.perf_counter() - started
 
         # Semantic invisibility on the probe subset, then the timing.
         assert _rows(fast_results) == _rows(batch_results[:fast_runs]), (
@@ -123,7 +113,7 @@ def test_bench_massive_n_packed_sweeps():
             "batch_seconds": round(batch_seconds, 4),
             "speedup_vs_fast": round(fast_seconds_est / batch_seconds, 2),
             "floor": floor,
-            "memory_budget": budget,
+            "memory_budget": batch_engine._MEMORY_BUDGET,
             "batch_chunks": sum(
                 result.metadata.get("batch_chunks", 0) for result in batch_results
             ),

@@ -155,19 +155,18 @@ class WordStream:
 
     The bridge's :meth:`~RngBridge.random_block` covers draws that map
     onto fixed-size uniform blocks.  Rejection-sampled draws
-    (``randint``/``sample``/``choice``) consume a *data-dependent*
-    number of 32-bit words, which no block shape can express — but the
-    word stream itself is expressible: one ``RandomState`` integer draw
-    over the full 32-bit range consumes exactly one MT word, identical
-    to ``getrandbits(32)``.  This class prefetches whole word blocks
-    NumPy-side and replays CPython's own derivations
-    (``random``/``getrandbits``/``_randbelow``/``randint``/``sample``/
-    ``choice``) over the buffer — scalar methods for arbitrary
-    interleavings, and the vectorised :meth:`chain_values` /
-    :meth:`chain_walk` decoders that resolve whole sequences of
-    rejection chains with a couple of NumPy calls instead of a Python
-    call per word — with bit-identical results and bit-identical word
-    consumption.
+    (``randint``/``sample``) consume a *data-dependent* number of
+    32-bit words, which no block shape can express — but the word
+    stream itself is expressible: one ``RandomState`` integer draw over
+    the full 32-bit range consumes exactly one MT word, identical to
+    ``getrandbits(32)``.  This class prefetches whole word blocks
+    NumPy-side and replays the CPython derivations the batch planners
+    use (``random``/``_randbelow``/``sample``) over the buffer — scalar
+    methods for arbitrary interleavings, and the vectorised
+    :meth:`chain_values` / :meth:`chain_walk` decoders that resolve
+    whole sequences of rejection chains with a couple of NumPy calls
+    instead of a Python call per word — with bit-identical results and
+    bit-identical word consumption.
 
     :meth:`flush` hands the wrapped ``random.Random`` a stream position
     as if each draw had happened scalar-side: the original state is
@@ -251,10 +250,6 @@ class WordStream:
         b = self._word() >> 6
         return (a * 67108864 + b) * _RECIP53
 
-    def getrandbits(self, k: int) -> int:
-        """``random.Random.getrandbits`` for ``0 < k <= 32``."""
-        return self._word() >> (32 - k)
-
     def randbelow(self, n: int) -> int:
         """``random.Random._randbelow_with_getrandbits`` for ``n >= 1``."""
         shift = 32 - n.bit_length()
@@ -262,10 +257,6 @@ class WordStream:
         while r >= n:
             r = self._word() >> shift
         return r
-
-    def randint(self, a: int, b: int) -> int:
-        """``random.Random.randint`` for a non-empty range."""
-        return a + self.randbelow(b - a + 1)
 
     def sample(self, population: Sequence[Any], k: int) -> List[Any]:
         # Port of random.Random.sample's selection core (the setsize
@@ -292,9 +283,6 @@ class WordStream:
                 selected_add(j)
                 result[i] = population[j]
         return result
-
-    def choice(self, seq: Sequence[Any]) -> Any:
-        return seq[self.randbelow(len(seq))]
 
     def chain_values(self, count: int, bound: int) -> List[int]:
         """``count`` successive ``randbelow(bound)`` results, vectorised.
@@ -434,9 +422,8 @@ def chain_walk_many_array(
     :meth:`~WordStream.chain_walk`, which widens and retries.
 
     Returns the drawn values as an ``(len(streams), reps, len(bounds))``
-    ``int64`` array — the array form feeds the batch planners' fully
-    vectorised staging directly; :func:`chain_walk_many` wraps it in the
-    per-stream list-of-tuples shape of :meth:`~WordStream.chain_walk`.
+    ``int64`` array, which feeds the batch planners' fully vectorised
+    staging directly.
     """
     rows = len(streams)
     if reps <= 0 or not streams:
@@ -478,17 +465,6 @@ def chain_walk_many_array(
         else:
             streams[row]._idx += consumed[row]
     return values
-
-
-def chain_walk_many(
-    streams: Sequence[WordStream],
-    reps: int,
-    skip: int,
-    bounds: Sequence[int],
-) -> List[List[Tuple[int, ...]]]:
-    """List-of-tuples view of :func:`chain_walk_many_array`."""
-    values = chain_walk_many_array(streams, reps, skip, bounds)
-    return [[tuple(drawn) for drawn in row] for row in values.tolist()]
 
 
 def chain_values_many(
@@ -537,12 +513,12 @@ def chain_values_many(
 def word_replay_matches() -> bool:
     """Whether :class:`WordStream`'s ports match this interpreter.
 
-    Replays a mixed draw sequence (uniforms, getrandbits, randints,
-    both ``sample`` branches, choices, and the vectorised chain
-    decoders) against a real ``random.Random`` twin, including the
-    final state write-back.  ``False`` — NumPy missing, or a CPython
-    whose ``random`` internals changed — means word-stream planners
-    must stay unregistered.
+    Replays a mixed draw sequence — every port a batch planner calls:
+    uniforms, ``randbelow``, both ``sample`` branches, the vectorised
+    chain decoders and the fleet decoders — against a real
+    ``random.Random`` twin, including the final state write-back.
+    ``False`` — NumPy missing, or a CPython whose ``random`` internals
+    changed — means word-stream planners must stay unregistered.
     """
     if np is None:
         return False
@@ -554,14 +530,11 @@ def word_replay_matches() -> bool:
         for step in range(48):
             if reference.random() != stream.random():
                 return False
-            if reference.getrandbits(7) != stream.getrandbits(7):
-                return False
-            if reference.randint(1, 5) != stream.randint(1, 5):
+            # randint(1, k) is 1 + randbelow(k).
+            if reference.randint(1, 5) - 1 != stream.randbelow(5):
                 return False
             k = (step % 7) + 1
             if reference.sample(population, k) != stream.sample(population, k):
-                return False
-            if reference.choice(population) != stream.choice(population):
                 return False
         # randbelow(b) equals sample(range(b), 1)[0] for any scalar b
         # (single pool-swap draw), which keeps the checks on public API.
@@ -595,9 +568,10 @@ def word_replay_matches() -> bool:
             for _ in range(3):
                 ref.random()
                 low = ref.randint(1, 1) - 1
-                row.append((low, ref.sample(population, 1)[0]))
+                row.append([low, ref.sample(population, 1)[0]])
             walked_many.append(row)
-        if chain_walk_many(streams, 3, 2, (1, len(population))) != walked_many:
+        picks = chain_walk_many_array(streams, 3, 2, (1, len(population)))
+        if picks.tolist() != walked_many:
             return False
         for ref, mirrored, stream in zip(references, mirrors, streams):
             stream.flush()
@@ -612,7 +586,6 @@ __all__ = [
     "RngBridge",
     "WordStream",
     "chain_values_many",
-    "chain_walk_many",
     "chain_walk_many_array",
     "numpy_available",
     "word_replay_matches",

@@ -25,8 +25,8 @@
   comparison and the resilience table) without running simulations;
 * ``lint``       — run the ``repro-lint`` static-analysis rules
   (determinism, store-seam, schema and registry discipline) over the
-  source tree; exit codes and the baseline flow are documented in its
-  ``--help`` epilog.
+  source tree; exit codes and how to accept a finding are documented
+  in its ``--help`` epilog.
 
 ``campaign`` exits non-zero when any run of the campaign failed or
 timed out, printing the failure counts and (for distributed campaigns)

@@ -14,35 +14,28 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from .engine import LintReport, lint_paths
 from .rules import available_rules, get_rule
 from .schema import write_schema_snapshot
 
-#: Exit status when the tree is clean (or everything is baselined).
+#: Exit status when the tree is clean (or every finding is suppressed).
 EXIT_CLEAN = 0
-#: Exit status when unbaselined findings (or stale baseline entries) remain.
+#: Exit status when unsuppressed findings remain.
 EXIT_FINDINGS = 1
-#: Exit status for usage errors, unknown rules and invalid baselines.
+#: Exit status for usage errors and unknown rules.
 EXIT_USAGE = 2
 
 LINT_EPILOG = """\
 exit codes:
-  0  clean: no findings, or every finding is baselined/suppressed
-  1  unbaselined findings remain (also: stale baseline entries)
-  2  usage error, unknown rule id, or an invalid baseline file
+  0  clean: no findings, or every finding is suppressed
+  1  unsuppressed findings remain
+  2  usage error or unknown rule id
 
-baseline flow:
-  repro-lint writes nothing by default.  To accept the current findings
-  as the new baseline run `--baseline-update`, then fill in the
-  "justification" field of any new entry — the loader rejects
-  placeholder justifications, so an unjustified acceptance cannot
-  sneak through CI.  `--format json` emits {"findings": [...],
+accepting a finding:
+  put `# repro-lint: ignore[ID]: why this is safe` on the offending
+  line or the line above it.  The justification is required: a comment
+  without one suppresses nothing and is itself a finding (L901).
+  repro-lint writes nothing.  `--format json` emits {"findings": [...],
   "summary": {...}} on stdout with the same exit codes.
 """
 
@@ -66,23 +59,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default="",
         metavar="IDS",
         help="comma-separated rule ids to run (default: all registered)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_NAME,
-        metavar="PATH",
-        help=f"baseline file of accepted findings (default: {DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--baseline-update",
-        action="store_true",
-        help="rewrite the baseline to the current findings (new entries get "
-        "a placeholder justification that must be filled in by hand)",
     )
     parser.add_argument(
         "--list-rules",
@@ -122,16 +98,9 @@ def _selected_rules(spec: str) -> Optional[List[str]]:
 def _render_text(report: LintReport) -> None:
     for item in report.findings:
         print(item.render())
-    for entry in report.stale_baseline:
-        print(
-            f"{entry.path}: stale baseline entry for {entry.rule} "
-            f"({entry.message!r} no longer occurs); remove it",
-        )
     print(
         f"repro-lint: {report.checked_files} files checked, "
-        f"{len(report.findings)} findings "
-        f"({len(report.accepted)} baselined, {len(report.suppressed)} "
-        f"suppressed, {len(report.stale_baseline)} stale baseline entries)"
+        f"{len(report.findings)} findings ({len(report.suppressed)} suppressed)"
     )
 
 
@@ -142,14 +111,10 @@ def _render_json(report: LintReport) -> None:
             {**item.as_dict(), "justification": item.justification}
             for item in report.suppressed
         ],
-        "baselined": [item.as_dict() for item in report.accepted],
-        "stale_baseline": [entry.as_dict() for entry in report.stale_baseline],
         "summary": {
             "checked_files": report.checked_files,
             "findings": len(report.findings),
-            "baselined": len(report.accepted),
             "suppressed": len(report.suppressed),
-            "stale_baseline": len(report.stale_baseline),
         },
     }
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
@@ -184,29 +149,12 @@ def run_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    baseline_path = None if args.no_baseline else Path(args.baseline)
-    if args.baseline_update:
-        target = Path(args.baseline)
-        previous = load_baseline(target, strict=False)
-        report = lint_paths(paths, rule_ids=rule_ids, baseline_path=None)
-        entries = write_baseline(target, report.findings, previous)
-        print(
-            f"repro-lint: baseline {target} rewritten with "
-            f"{len(entries)} entries"
-        )
-        return EXIT_CLEAN
-    try:
-        report = lint_paths(paths, rule_ids=rule_ids, baseline_path=baseline_path)
-    except BaselineError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = lint_paths(paths, rule_ids=rule_ids)
     if args.format == "json":
         _render_json(report)
     else:
         _render_text(report)
-    if report.findings or report.stale_baseline:
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+    return EXIT_FINDINGS if report.findings else EXIT_CLEAN
 
 
 def main(argv: Optional[List[str]] = None) -> int:

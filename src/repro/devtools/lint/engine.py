@@ -1,4 +1,4 @@
-"""The lint driver: walk files, run rules, apply suppressions + baseline.
+"""The lint driver: walk files, run rules, apply suppressions.
 
 Kept separate from the CLI so tests (and the docs builder) can run the
 whole pipeline in-process and inspect the structured
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .baseline import BaselineEntry, BaselineMatch, load_baseline, match_baseline
 from .findings import Finding
 from .rules import (
     ModuleContext,
@@ -45,12 +44,10 @@ class LintReport:
     checked_files: int = 0
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    accepted: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when nothing unbaselined survived (the exit-0 condition)."""
+        """True when nothing unsuppressed survived (the exit-0 condition)."""
         return not self.findings
 
 
@@ -90,25 +87,18 @@ def _parse_failure(path: str, exc: SyntaxError) -> Finding:
 def lint_paths(
     paths: Sequence[Path],
     rule_ids: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Path] = None,
 ) -> LintReport:
-    """Run ``rule_ids`` (default: all registered) over ``paths``.
-
-    Raises :class:`repro.devtools.lint.baseline.BaselineError` when the
-    baseline file itself is invalid — a broken baseline must fail the
-    run loudly, not quietly accept everything.
-    """
+    """Run ``rule_ids`` (default: all registered) over ``paths``."""
     selected = list(rule_ids) if rule_ids else available_rules()
     rules: List[Rule] = [get_rule(rule_id)() for rule_id in selected]
     report = LintReport()
-    raw: List[Finding] = []
     for path in iter_python_files(paths):
         shown = display_path(path)
         source = path.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            raw.append(_parse_failure(shown, exc))
+            report.findings.append(_parse_failure(shown, exc))
             report.checked_files += 1
             continue
         ctx = ModuleContext(
@@ -123,15 +113,10 @@ def lint_paths(
         for rule in rules:
             file_findings.extend(rule.check_module(ctx))
         split = apply_suppressions(file_findings, suppressions)
-        raw.extend(split["kept"])
+        report.findings.extend(split["kept"])
         report.suppressed.extend(split["suppressed"])
         report.checked_files += 1
     for rule in rules:
-        raw.extend(rule.finalize())
-    raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    entries = load_baseline(baseline_path) if baseline_path else []
-    matched: BaselineMatch = match_baseline(raw, entries)
-    report.findings = matched.new
-    report.accepted = matched.accepted
-    report.stale_baseline = matched.stale
+        report.findings.extend(rule.finalize())
+    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     return report

@@ -1,9 +1,7 @@
 """The linter's result type: one :class:`Finding` per rule violation.
 
 Findings are plain data so they serialise losslessly to the JSON output
-mode and to the baseline file.  Baseline identity deliberately excludes
-the line/column: moving a violation around a file must not un-baseline
-it, only fixing or duplicating it may change the verdict.
+mode.
 """
 
 from __future__ import annotations
@@ -29,10 +27,6 @@ class Finding:
     col: int
     message: str
     justification: str = field(default="", compare=False)
-
-    def baseline_key(self) -> Dict[str, str]:
-        """The location-independent identity used by the baseline file."""
-        return {"rule": self.rule, "path": self.path, "message": self.message}
 
     def as_dict(self) -> Dict[str, object]:
         """JSON shape of the ``--format json`` output mode."""

@@ -58,17 +58,7 @@ from repro.runner.factories import (
     build_predicate,
     build_workload,
 )
-from repro.runner.metrics import (
-    Counter,
-    CounterFamily,
-    Gauge,
-    GaugeFamily,
-    Histogram,
-    HistogramFamily,
-    MetricsRegistry,
-    fleet_registry,
-    metric_catalogue_markdown,
-)
+from repro.runner.metrics import MetricsRegistry, fleet_registry, metric_catalogue_markdown
 from repro.runner.records import RunRecord, RunnerStats
 from repro.runner.reduce import (
     DecisionReducer,
@@ -113,17 +103,11 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",
-    "Counter",
-    "CounterFamily",
     "DecisionReducer",
     "DistributedCampaignResult",
     "DistributedCampaignRunner",
     "DistributedReducedCampaignResult",
     "FsspecObjectClient",
-    "Gauge",
-    "GaugeFamily",
-    "Histogram",
-    "HistogramFamily",
     "InMemoryObjectClient",
     "IncompleteCampaignError",
     "Lease",

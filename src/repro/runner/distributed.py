@@ -105,7 +105,7 @@ from repro.runner.executor import (
     cacheable_key,
     materialise_specs,
 )
-from repro.runner.metrics import UNIT_SECONDS_BUCKETS, MetricsRegistry, fleet_registry
+from repro.runner.metrics import MetricsRegistry, fleet_registry
 from repro.runner.records import RunRecord, RunnerStats
 from repro.runner.reduce import ReducedRecord, Reducer
 from repro.runner.spec import CampaignSpec, stable_hash
@@ -239,7 +239,8 @@ class _CampaignView:
     markers) are listed on first use, at most once per view: a caller
     that asks only about coverage never lists ``splits/``, and one that
     asks only for interval ends never lists ``results/``.  A view made
-    by :meth:`rescan` lists one batch's files and answers only for it.
+    by :meth:`rescan` with a batch index lists that batch's files and
+    answers only for it.
     """
 
     def __init__(
@@ -255,8 +256,10 @@ class _CampaignView:
         self._queue = queue
         self._batches = "*" if index is None else f"{index:05d}"
 
-    def rescan(self, index: int) -> "_CampaignView":
-        """A fresh view of one batch: same manifest, its files listed anew."""
+    def rescan(self, index: Optional[int] = None) -> "_CampaignView":
+        """A fresh view under the same manifest (a written manifest never
+        changes): of batch ``index`` alone, or of the whole campaign
+        when ``index`` is ``None``, its files listed anew."""
         return _CampaignView(self._queue, self.campaign_id, self.manifest, index)
 
     @cached_property
@@ -367,12 +370,6 @@ class WorkQueue:
         self.store: CacheStore = store if store is not None else SharedStore(self.queue_dir)
         self._cache: Optional[ResultCache] = None
         self.metrics = fleet_registry()
-        self._m_claims = self.metrics.counter("repro_queue_claims_total")
-        self._m_claim_latency = self.metrics.histogram("repro_queue_claim_latency_seconds")
-        self._m_lease_breaks = self.metrics.counter("repro_queue_lease_breaks_total")
-        self._m_deposits = self.metrics.counter("repro_queue_deposits_total")
-        self._m_requeues = self.metrics.counter("repro_queue_requeues_total")
-        self._m_cache_corrupt = self.metrics.counter("repro_cache_corrupt_total")
         self._last_fleet_metrics: Optional[Dict[str, object]] = None
 
     @property
@@ -381,7 +378,7 @@ class WorkQueue:
         namespace, so a custom injected store carries the cache too."""
         if self._cache is None:
             self._cache = ResultCache(store=PrefixStore(self.store, "cache"))
-            self._cache.on_corrupt = self._m_cache_corrupt.inc
+            self._cache.on_corrupt = lambda: self.metrics.inc("repro_cache_corrupt_total")
         return self._cache
 
     # ------------------------------------------------------------------
@@ -595,7 +592,7 @@ class WorkQueue:
             # corrupt file can never make the interval unclaimable, then
             # re-race.
             if self.store.delete(path):
-                self._m_lease_breaks.inc()
+                self.metrics.inc("repro_queue_lease_breaks_total")
             if self.store.try_create(path, self._lease_payload(lease)):
                 return self._claim_won(lease, claim_began)
             return None
@@ -608,15 +605,15 @@ class WorkQueue:
             now - float(existing.get("heartbeat_at", 0.0)),
         )
         if self.store.delete(path):
-            self._m_lease_breaks.inc()
+            self.metrics.inc("repro_queue_lease_breaks_total")
         if self.store.try_create(path, self._lease_payload(lease)):
             return self._claim_won(lease, claim_began)
         return None
 
     def _claim_won(self, lease: Lease, claim_began: float) -> Lease:
         """Record a won claim (count + store round-trip latency)."""
-        self._m_claims.inc()
-        self._m_claim_latency.observe(time.perf_counter() - claim_began)
+        self.metrics.inc("repro_queue_claims_total")
+        self.metrics.observe("repro_queue_claim_latency_seconds", time.perf_counter() - claim_began)
         return lease
 
     def heartbeat(self, lease: Lease, progress: Optional[int] = None) -> bool:
@@ -718,7 +715,7 @@ class WorkQueue:
             _part_path(campaign_id, index, start, len(records)), payload
         )
         if deposited:
-            self._m_deposits.inc()
+            self.metrics.inc("repro_queue_deposits_total")
         return deposited
 
     def poison(
@@ -753,7 +750,7 @@ class WorkQueue:
         for relpath in self.store.list(f"campaigns/{campaign_id}/splits/{index:05d}.*.json"):
             self.store.delete(relpath)
         if dropped:
-            self._m_requeues.inc()
+            self.metrics.inc("repro_queue_requeues_total")
         return dropped
 
     def collect(
@@ -784,7 +781,7 @@ class WorkQueue:
                     # so its interval counts as pending again and
                     # re-executes instead of wedging the campaign forever.
                     self.store.delete(relpath)
-                    self._m_requeues.inc()
+                    self.metrics.inc("repro_queue_requeues_total")
                     raise IncompleteCampaignError(
                         f"campaign {campaign_id!r}: batch {index:05d} part "
                         f"p{start:05d}-{count:05d} has no readable result "
@@ -808,7 +805,7 @@ class WorkQueue:
                     # make wait() succeed and collect() fail forever —
                     # discard it so the interval genuinely requeues.
                     self.store.delete(relpath)
-                    self._m_requeues.inc()
+                    self.metrics.inc("repro_queue_requeues_total")
                     raise IncompleteCampaignError(
                         f"campaign {campaign_id!r}: batch {index:05d} part "
                         f"p{start:05d}-{count:05d} carries "
@@ -951,7 +948,7 @@ class WorkQueue:
     # Metric snapshots (workers publish, `repro-ho status` merges)
     # ------------------------------------------------------------------
     def write_metric_snapshot(self, worker_id: str) -> None:
-        """Publish this process's metric registry under ``metrics/``.
+        """Publish this process's metric map under ``metrics/``.
 
         One file per worker id, overwritten in place (atomic replace via
         the store), so a reader always sees a complete snapshot and the
@@ -967,7 +964,7 @@ class WorkQueue:
                     "schema": QUEUE_SCHEMA_VERSION,
                     "worker": worker_id,
                     "written_at": time.time(),
-                    "metrics": self.metrics.snapshot(),
+                    "metrics": self.metrics.flat_values(),
                 },
                 allow_nan=False,
             ),
@@ -1021,20 +1018,15 @@ def fleet_status(queue: WorkQueue) -> Dict[str, object]:
             entry["age_seconds"] = round(max(0.0, now - float(payload["written_at"])), 2)
         except Exception:
             entry["age_seconds"] = None
-        counters: Dict[str, float] = {}
-        snap = payload.get("metrics")
-        if isinstance(snap, dict):
-            shard = MetricsRegistry()
-            try:
-                shard.merge_snapshot(snap)
-                merged.merge_snapshot(snap)
-                counters = shard.flat_values()
-            except Exception as exc:
-                logger.warning(
-                    "metric snapshot from worker %s is unusable (%s: %s); skipping",
-                    worker_id, type(exc).__name__, exc,
-                )
-                counters = {}
+        shard = MetricsRegistry()
+        try:
+            shard.merge_snapshot(payload["metrics"])
+        except ValueError as exc:
+            logger.warning(
+                "metric snapshot from worker %s is unusable (%s); skipping", worker_id, exc
+            )
+        counters = shard.flat_values()
+        merged.merge_snapshot(counters)
         hits = counters.get('repro_runner_runs_total{counter="cache_hits"}', 0.0)
         misses = counters.get('repro_runner_runs_total{counter="cache_misses"}', 0.0)
         entry["units"] = counters.get("repro_worker_units_total", 0.0)
@@ -1133,7 +1125,6 @@ class Worker:
             timeout=timeout,
             cache=self.queue.cache,
             backend=_require_equivalent_backend(backend),
-            metrics=self.queue.metrics,
         )
         self.batches_executed = 0
         self.steals = 0
@@ -1146,14 +1137,6 @@ class Worker:
         self.metrics = self.queue.metrics
         self._snapshot_interval = max(0.5, min(5.0, ttl / 4.0))
         self._last_snapshot_at = float("-inf")
-        self._m_units = self.metrics.counter("repro_worker_units_total")
-        self._m_steals = self.metrics.counter("repro_worker_steals_total")
-        self._m_unit_seconds = self.metrics.histogram(
-            "repro_runner_unit_seconds", buckets=UNIT_SECONDS_BUCKETS
-        )
-        self._m_runs = self.metrics.counter(
-            "repro_runner_runs_total", labelnames=("counter",)
-        )
 
     def _retire_pending(self) -> bool:
         if not self._retire and self.queue.retire_requested(self.worker_id):
@@ -1180,12 +1163,12 @@ class Worker:
             )
 
     def _observe_unit(self, delta: RunnerStats, elapsed: float) -> None:
-        """Fold one executed unit's stats delta into the fleet registry."""
-        self._m_units.inc()
-        self._m_unit_seconds.observe(max(0.0, elapsed))
+        """Fold one executed unit's stats delta into the fleet metrics."""
+        self.metrics.inc("repro_worker_units_total")
+        self.metrics.observe("repro_runner_unit_seconds", elapsed)
         for name, value in delta.counter_items():
             if value > 0:
-                self._m_runs.labels(counter=name).inc(value)
+                self.metrics.inc("repro_runner_runs_total", value, counter=name)
 
     def run_once(self) -> int:
         """One scan over the queue; returns how many intervals were executed."""
@@ -1242,7 +1225,7 @@ class Worker:
         if not self._claim(view, index, cut_at):
             return 0
         self.steals += 1
-        self._m_steals.inc()
+        self.metrics.inc("repro_worker_steals_total")
         return 1
 
     def _claim(self, view: _CampaignView, index: int, start: int) -> bool:
@@ -1353,10 +1336,14 @@ class Worker:
                     last_sync = now
                     self.queue.heartbeat(lease, progress=reserve)
                 window = tasks[position:reserve]
+                window_began = time.perf_counter()
                 if reducer is not None:
                     records.extend(self.runner.run_reduced(window, reducer, capture_errors=True))
                 else:
                     records.extend(self.runner.run_tasks(window, capture_errors=True))
+                self.metrics.observe(
+                    "repro_runner_window_seconds", time.perf_counter() - window_began
+                )
                 position = reserve
                 marks.append((position, self.runner.stats.snapshot()))
                 if position >= end or time.monotonic() - last_sync >= sync_interval:
@@ -1572,11 +1559,6 @@ class Supervisor:
         self._drain_to_zero = False
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._m_scale_events = self.queue.metrics.counter(
-            "repro_supervisor_scale_events_total", labelnames=("direction",)
-        )
-        self._m_target_workers = self.queue.metrics.gauge("repro_supervisor_target_workers")
-        self._m_live_workers = self.queue.metrics.gauge("repro_supervisor_live_workers")
 
     # -- process management ------------------------------------------------------
     def _spawn_process(self, worker_id: str) -> "subprocess.Popen[bytes]":
@@ -1670,15 +1652,13 @@ class Supervisor:
         active = [managed for managed in self.workers if not managed.retiring]
         if len(active) < target:
             self._scale_up(target - len(active))
-            self._m_scale_events.labels(direction="up").inc()
+            self.queue.metrics.inc("repro_supervisor_scale_events_total", direction="up")
         elif len(active) > target:
             self._scale_down(len(active) - target, busy_ids)
-            self._m_scale_events.labels(direction="down").inc()
+            self.queue.metrics.inc("repro_supervisor_scale_events_total", direction="down")
 
         self.stats.polls += 1
         self.stats.peak_workers = max(self.stats.peak_workers, len(self.workers))
-        self._m_target_workers.set(target)
-        self._m_live_workers.set(len(self.workers))
         status = {
             **metrics,
             "busy": busy,
@@ -1920,8 +1900,11 @@ class DistributedCampaignRunner(_Pipeline):
         """Block until every batch of ``campaign_id`` is fully covered."""
         timeout = timeout if timeout is not None else self.wait_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
+        view: Optional[_CampaignView] = None
         while True:
-            view = self.queue.scan(campaign_id)
+            # The manifest is read until found, then reused: later polls
+            # only re-list the deposits.
+            view = self.queue.scan(campaign_id) if view is None else view.rescan()
             pending = [] if view is None else view.pending()
             if view is not None and not pending:
                 return

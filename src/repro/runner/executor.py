@@ -57,7 +57,6 @@ from repro.core.algorithm import HOAlgorithm
 from repro.core.predicates import CommunicationPredicate
 from repro.core.process import ProcessId, Value
 from repro.runner.cache import ResultCache
-from repro.runner.metrics import UNIT_SECONDS_BUCKETS, HistogramFamily, MetricsRegistry
 from repro.runner.factories import (
     build_adversary,
     build_algorithm,
@@ -236,7 +235,7 @@ def _chunk_splits(results: Sequence[SimulationResult]) -> int:
 
     The batch engine marks one result per extra chunk with
     ``metadata["batch_chunks"] = 1`` (a group split into k chunks under
-    ``REPRO_BATCH_MEMORY_BUDGET`` carries k - 1 markers); unchunked
+    the engine's memory budget carries k - 1 markers); unchunked
     groups and other backends report nothing.
     """
     return sum(result.metadata.get("batch_chunks", 0) for result in results)
@@ -462,7 +461,6 @@ class _Pipeline:
     backend: Union[str, EngineBackend]
     cache: Optional[ResultCache]
     stats: RunnerStats
-    _m_window: Optional[HistogramFamily] = None
 
     def run_tasks(
         self, tasks: Sequence[RunTask], capture_errors: bool = False
@@ -491,13 +489,6 @@ class _Pipeline:
             replace(task, backend=self.backend) if task.backend is None else task
             for task in tasks
         ]
-
-    def _observe_window(self, started: float) -> float:
-        """Elapsed seconds since ``started``, observed when instrumented."""
-        elapsed = time.perf_counter() - started
-        if self._m_window is not None:
-            self._m_window.observe(max(0.0, elapsed))
-        return elapsed
 
     def _partition(
         self, tasks: Sequence[RunTask], outcome: _Outcome, stats: RunnerStats
@@ -529,7 +520,7 @@ class _Pipeline:
                 1 for r in outputs if r is not None and r.error and not r.timed_out
             )
             self.stats.timeouts += sum(1 for r in outputs if r is not None and r.timed_out)
-        self.stats.elapsed_seconds += self._observe_window(started)
+        self.stats.elapsed_seconds += time.perf_counter() - started
         return _require_complete(outputs, surface)
 
     def _campaign(
@@ -579,12 +570,6 @@ class CampaignRunner(_Pipeline):
         (:attr:`RunTask.backend`).  Backends are semantically invisible
         (see :mod:`repro.simulation.backends`), so cached records are
         shared across backends and ``backend="fast"`` is always safe.
-    metrics:
-        Optional :class:`~repro.runner.metrics.MetricsRegistry`; when
-        set, every ``run_tasks``/``run_reduced``/``run_simulations``
-        call observes its wall-clock seconds into
-        ``repro_runner_window_seconds``.  Pure observation — records,
-        stats and ordering are identical with and without it.
     """
 
     def __init__(
@@ -593,7 +578,6 @@ class CampaignRunner(_Pipeline):
         timeout: Optional[float] = None,
         cache: Optional[Union[ResultCache, str]] = None,
         backend: Union[str, EngineBackend] = "reference",
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -606,14 +590,6 @@ class CampaignRunner(_Pipeline):
             get_backend(backend)  # fail fast on typos, before any run executes
         self.backend = backend
         self.stats = RunnerStats()
-        self.metrics = metrics
-        self._m_window = (
-            None
-            if metrics is None
-            else metrics.histogram(
-                "repro_runner_window_seconds", buckets=UNIT_SECONDS_BUCKETS
-            )
-        )
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _batchable(self, task: RunTask) -> bool:

@@ -175,8 +175,8 @@ class RunnerStats:
     #: unchanged.
     batch_planned: int = 0
     #: Memory-budget splits of batch run groups (k chunks in a group
-    #: count as k - 1; 0 when ``REPRO_BATCH_MEMORY_BUDGET`` is unset or
-    #: never forced a split).  Readers tolerate the missing key, so the
+    #: count as k - 1; 0 when the batch engine's memory budget never
+    #: forced a split).  Readers tolerate the missing key, so the
     #: cache schema version is unchanged.
     batch_chunks: int = 0
     cache_hits: int = 0
@@ -204,8 +204,8 @@ class RunnerStats:
         """The integer counters as ``(name, value)`` pairs, in field order.
 
         ``elapsed_seconds`` is deliberately excluded: it is a duration,
-        not a count, and the fleet observes durations through histograms
-        instead.  This is the seam the worker uses to fold a per-unit
+        not a count, and the fleet times durations into its own
+        ``_sum``/``_count`` keys instead.  This is the seam the worker uses to fold a per-unit
         stats delta into ``repro_runner_runs_total{counter=...}`` without
         hard-coding the field list in two places.
         """

@@ -312,6 +312,7 @@ class CampaignSpec:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def to_json(self, path: Union[str, Path]) -> None:
+        # repro-lint: ignore[A301]: writes a spec file to a path the user asked for (e.g. `repro-ho campaign --spec out.json` tooling); it is not shared queue/cache state, so the crash-atomic CacheStore publish protocol does not apply
         Path(path).write_text(
             json.dumps(self.as_dict(), indent=2, sort_keys=True, allow_nan=False),
             encoding="utf-8",

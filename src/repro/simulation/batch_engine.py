@@ -55,11 +55,10 @@ code pack into per-run bit-planes, and ``count(v heard by p)`` is
 ops per tally instead of O(n) floats.  Batch planners emit drop
 schedules directly as packed words (scattering ``edge -> word index +
 bit shift``), so no dense ``(m, n, n)`` intermediate is ever built.  On
-top of either tier, the ``REPRO_BATCH_MEMORY_BUDGET`` knob (bytes, with
-``k``/``m``/``g`` suffixes) chunks a group's *run axis* so the peak
-working set stays under budget; per-run RNG streams make the split
-invisible in the records, and the runner reports splits as its
-``batch_chunks`` stat.
+top of either tier, a fixed memory budget (``_MEMORY_BUDGET``, 2 GiB)
+chunks a group's *run axis* so the peak working set stays under it;
+per-run RNG streams make the split invisible in the records, and the
+runner reports splits as its ``batch_chunks`` stat.
 
 Like the fast engine, the backend is *semantically invisible*:
 decisions, decision rounds, per-round ``HO``/``SHO``/``AHO`` sets,
@@ -85,8 +84,6 @@ keys (``nan``).  Both are detected, never silently mis-executed.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -161,33 +158,11 @@ def _packed_tier(n: int) -> bool:
     return n >= _PACKED_MIN_N
 
 
-def _memory_budget_bytes() -> Optional[int]:
-    """The run-chunking budget from ``REPRO_BATCH_MEMORY_BUDGET``, in bytes.
-
-    Accepts a plain byte count or a ``k``/``m``/``g`` suffix
-    (``512m``, ``2g``).  Unset, empty or non-positive means no budget:
-    every group executes as one sweep.  Anything else — words, ``nan``,
-    ``inf`` or a count that overflows a float (``1e400``) — raises
-    :class:`ValueError`.
-    """
-    raw = os.environ.get("REPRO_BATCH_MEMORY_BUDGET", "").strip().lower()
-    if not raw:
-        return None
-    scale = 1
-    if raw[-1] in "kmg":
-        scale = {"k": 1024, "m": 1024**2, "g": 1024**3}[raw[-1]]
-        raw = raw[:-1].strip()
-    try:
-        value = float(raw) * scale
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(
-            "REPRO_BATCH_MEMORY_BUDGET must be a byte count with an "
-            f"optional k/m/g suffix, got {os.environ['REPRO_BATCH_MEMORY_BUDGET']!r}"
-        )
-    budget = int(value)
-    return budget if budget > 0 else None
+#: Per-chunk working-set budget of a batch group, in bytes.  A group
+#: whose modelled footprint (:func:`_per_run_bytes` per run) exceeds it
+#: splits its run axis into chunks.  No bench workload's group comes near
+#: it; tests patch it, like :data:`_PACKED_MIN_N`, to force splits.
+_MEMORY_BUDGET = 2 * 1024**3
 
 
 def _per_run_bytes(n: int, packed: bool) -> int:
@@ -1016,17 +991,14 @@ def run_algorithm_batch(
         groups.setdefault(key, []).append(index)
 
     results: List[Optional[SimulationResult]] = [None] * len(normalised)
-    budget = _memory_budget_bytes()
     for (family, n, *_), indices in groups.items():
         packed = _packed_tier(n)
-        # REPRO_BATCH_MEMORY_BUDGET splits the run axis so each chunk's
-        # working set stays under budget.  Chunking is invisible in the
-        # records: per-run RNG streams are independent, batch planners
-        # consume each member's stream identically whichever chunk it
-        # lands in, and codebooks are internal to a chunk.
-        capacity = len(indices)
-        if budget is not None:
-            capacity = max(1, budget // max(1, _per_run_bytes(n, packed)))
+        # The memory budget splits the run axis so each chunk's working
+        # set stays under it.  Chunking is invisible in the records:
+        # per-run RNG streams are independent, batch planners consume
+        # each member's stream identically whichever chunk it lands in,
+        # and codebooks are internal to a chunk.
+        capacity = max(1, _MEMORY_BUDGET // max(1, _per_run_bytes(n, packed)))
         for start in range(0, len(indices), capacity):
             chunk = indices[start : start + capacity]
             chunk_requests = [normalised[i] for i in chunk]

@@ -9,7 +9,6 @@ exactly like the real source tree.
 from __future__ import annotations
 
 import textwrap
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 import pytest
@@ -25,16 +24,15 @@ def lint_snippet(tmp_path):
         source: str,
         relpath: str = "repro/runner/module_under_test.py",
         rules: Optional[Sequence[str]] = None,
-        baseline: Optional[Path] = None,
     ) -> LintReport:
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source), encoding="utf-8")
-        return lint_paths([target], rule_ids=rules, baseline_path=baseline)
+        return lint_paths([target], rule_ids=rules)
 
     return _lint
 
 
 def rule_ids(report: LintReport) -> List[str]:
-    """The rule ids of a report's unbaselined findings, in output order."""
+    """The rule ids of a report's unsuppressed findings, in output order."""
     return [item.rule for item in report.findings]

@@ -1,5 +1,6 @@
-"""CLI tests: the exit-code contract, JSON output, the baseline-update
-flow, the `repro-ho lint` integration and the self-clean gate."""
+"""CLI tests: the exit-code contract, JSON output, accepting a finding
+by an inline suppression, the `repro-ho lint` integration and the
+self-clean gate."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import repro.cli as repro_cli
-from repro.devtools.lint.baseline import DEFAULT_BASELINE_NAME
 from repro.devtools.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -53,7 +53,7 @@ def _write_fixture(tmp_path, source, relpath="repro/runner/module_under_test.py"
 class TestExitCodes:
     def test_clean_fixture_exits_zero(self, tmp_path, capsys):
         target = _write_fixture(tmp_path, "x = 1\n")
-        assert main([str(target), "--no-baseline"]) == EXIT_CLEAN
+        assert main([str(target)]) == EXIT_CLEAN
         assert "0 findings" in capsys.readouterr().out
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_VIOLATIONS))
@@ -64,40 +64,27 @@ class TestExitCodes:
             else "repro/runner/module_under_test.py"
         )
         target = _write_fixture(tmp_path, _FAMILY_VIOLATIONS[family], relpath)
-        assert main([str(target), "--no-baseline"]) == EXIT_FINDINGS
+        assert main([str(target)]) == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert f" {family}" in out  # a finding line carries the family's rule id
 
     def test_unknown_rule_id_exits_two_with_did_you_mean(self, tmp_path, capsys):
         target = _write_fixture(tmp_path, "x = 1\n")
-        assert main([str(target), "--rules", "D200", "--no-baseline"]) == EXIT_USAGE
+        assert main([str(target), "--rules", "D200"]) == EXIT_USAGE
         assert "did you mean" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.py")]) == EXIT_USAGE
         assert "no such path" in capsys.readouterr().err
 
-    def test_invalid_baseline_exits_two(self, tmp_path, capsys):
-        target = _write_fixture(tmp_path, "x = 1\n")
-        baseline = tmp_path / "bad.json"
-        baseline.write_text("[not json", encoding="utf-8")
-        assert main([str(target), "--baseline", str(baseline)]) == EXIT_USAGE
-        assert "repro-lint:" in capsys.readouterr().err
-
 
 class TestOutputModes:
     def test_json_format_emits_findings_and_summary(self, tmp_path, capsys):
         target = _write_fixture(tmp_path, _FAMILY_VIOLATIONS["S"])
-        code = main([str(target), "--format", "json", "--no-baseline"])
+        code = main([str(target), "--format", "json"])
         assert code == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {
-            "findings",
-            "suppressed",
-            "baselined",
-            "stale_baseline",
-            "summary",
-        }
+        assert set(payload) == {"findings", "suppressed", "summary"}
         assert payload["summary"]["checked_files"] == 1
         assert payload["summary"]["findings"] == 1
         (finding,) = payload["findings"]
@@ -110,47 +97,27 @@ class TestOutputModes:
         for rule_id in ("D201", "D202", "D203", "A301", "S401", "S402", "R501", "R502"):
             assert rule_id in out
 
-    def test_text_format_reports_stale_baseline(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+
+class TestAcceptingAFinding:
+    def test_justified_inline_suppression_is_the_way_to_accept(self, tmp_path, capsys):
         target = _write_fixture(tmp_path, _FAMILY_VIOLATIONS["S"])
-        assert main([str(target), "--baseline-update"]) == EXIT_CLEAN
-        capsys.readouterr()
-        target.write_text("x = 1\n", encoding="utf-8")
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        payload["findings"][0]["justification"] = "accepted for the stale-entry test"
-        baseline.write_text(json.dumps(payload), encoding="utf-8")
-        assert main([str(target)]) == EXIT_FINDINGS
-        assert "stale baseline entry" in capsys.readouterr().out
-
-
-class TestBaselineUpdateFlow:
-    def test_update_then_justify_then_clean(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = _write_fixture(tmp_path, _FAMILY_VIOLATIONS["S"])
-
         assert main([str(target)]) == EXIT_FINDINGS
         capsys.readouterr()
 
-        assert main([str(target), "--baseline-update"]) == EXIT_CLEAN
-        assert "rewritten with 1 entries" in capsys.readouterr().out
-        baseline = tmp_path / DEFAULT_BASELINE_NAME
-
-        # The placeholder justification must not pass a normal run.
-        assert main([str(target)]) == EXIT_USAGE
-        assert "justification" in capsys.readouterr().err
-
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        payload["findings"][0]["justification"] = "legacy encoder, tracked in ISSUE 7"
-        baseline.write_text(json.dumps(payload), encoding="utf-8")
+        accepted = _FAMILY_VIOLATIONS["S"].replace(
+            "return json.dumps",
+            "# repro-lint: ignore[S401]: fixture payloads are plain ints\n"
+            "            return json.dumps",
+        )
+        _write_fixture(tmp_path, accepted)
         assert main([str(target)]) == EXIT_CLEAN
-        assert "(1 baselined" in capsys.readouterr().out
+        assert "0 findings (1 suppressed)" in capsys.readouterr().out
 
 
 class TestReproHoIntegration:
     def test_repro_ho_lint_matches_standalone(self, tmp_path, capsys):
         target = _write_fixture(tmp_path, _FAMILY_VIOLATIONS["D"])
-        code = repro_cli.main(["lint", str(target), "--no-baseline"])
+        code = repro_cli.main(["lint", str(target)])
         assert code == EXIT_FINDINGS
         assert "D201" in capsys.readouterr().out
 
@@ -160,15 +127,15 @@ class TestReproHoIntegration:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes:" in out
-        assert "--baseline-update" in out
+        assert "repro-lint: ignore[ID]" in out
 
 
 class TestSelfCleanGate:
     def test_shipped_tree_is_clean_under_its_own_linter(self, capsys, monkeypatch):
-        """The gate from ISSUE 7: `repro-lint src/repro` exits 0 with the
-        checked-in baseline, so CI can run it verbatim."""
+        """`repro-lint src/repro` exits 0 with no baseline file, so CI
+        can run it verbatim; accepted findings are inline suppressions."""
         monkeypatch.chdir(REPO_ROOT)
+        assert not (REPO_ROOT / ".repro-lint-baseline.json").exists()
         assert main(["src/repro"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         assert "0 findings" in out
-        assert "0 stale baseline entries" in out

@@ -1,19 +1,11 @@
-"""Framework tests: the rule registry contract, suppression discipline,
-the baseline round-trip and the engine's parse-error path."""
+"""Framework tests: the rule registry contract, suppression discipline
+and the engine's parse-error path."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.devtools.lint import available_rules, get_rule, lint_paths, register_rule
-from repro.devtools.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    match_baseline,
-    write_baseline,
-)
 from repro.devtools.lint.rules import Rule, _RULES, rule_catalogue_markdown
 
 
@@ -145,96 +137,6 @@ class TestSuppressionDiscipline:
             rules=["L901"],
         )
         assert report.findings == []
-
-
-class TestBaseline:
-    def _one_finding_report(self, lint_snippet, baseline=None):
-        return lint_snippet(
-            """
-            import json
-
-            def encode(payload):
-                return json.dumps(payload)
-            """,
-            rules=["S401"],
-            baseline=baseline,
-        )
-
-    def test_round_trip_accepts_then_goes_stale(
-        self, lint_snippet, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        report = self._one_finding_report(lint_snippet)
-        assert len(report.findings) == 1
-
-        write_baseline(baseline_path, report.findings, [])
-        payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-        payload["findings"][0]["justification"] = "accepted: fixture for the round-trip test"
-        baseline_path.write_text(json.dumps(payload), encoding="utf-8")
-
-        accepted = self._one_finding_report(lint_snippet, baseline=baseline_path)
-        assert accepted.findings == []
-        assert len(accepted.accepted) == 1
-        assert accepted.stale_baseline == []
-
-        clean = lint_paths(
-            [tmp_path / "repro" / "runner"], rule_ids=["S401"], baseline_path=baseline_path
-        )
-        fixed = tmp_path / "repro/runner/module_under_test.py"
-        fixed.write_text("x = 1\n", encoding="utf-8")
-        clean = lint_paths([fixed], rule_ids=["S401"], baseline_path=baseline_path)
-        assert clean.findings == []
-        assert len(clean.stale_baseline) == 1
-
-    def test_placeholder_justification_is_rejected_on_load(
-        self, lint_snippet, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        report = self._one_finding_report(lint_snippet)
-        write_baseline(baseline_path, report.findings, [])
-        with pytest.raises(BaselineError, match="justification"):
-            load_baseline(baseline_path)
-        assert len(load_baseline(baseline_path, strict=False)) == 1
-
-    def test_duplicated_violation_needs_two_entries(self, lint_snippet, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        report = lint_snippet(
-            """
-            import json
-
-            def encode(payload):
-                return json.dumps(payload)
-
-            def encode_again(payload):
-                return json.dumps(payload)
-            """,
-            rules=["S401"],
-        )
-        assert len(report.findings) == 2
-        entries = write_baseline(tmp_path / "b.json", report.findings[:1], [])
-        matched = match_baseline(report.findings, entries)
-        assert len(matched.accepted) == 1
-        assert len(matched.new) == 1
-
-    def test_update_preserves_surviving_justifications(self, tmp_path):
-        from repro.devtools.lint.findings import Finding
-
-        finding = Finding(rule="S401", path="repro/runner/x.py", line=3, col=0, message="m")
-        baseline_path = tmp_path / "b.json"
-        first = write_baseline(baseline_path, [finding], [])
-        hand_filled = [
-            type(entry)(
-                rule=entry.rule,
-                path=entry.path,
-                message=entry.message,
-                justification="hand-written reason",
-            )
-            for entry in first
-        ]
-        second = write_baseline(baseline_path, [finding], hand_filled)
-        assert second[0].justification == "hand-written reason"
 
 
 class TestEngine:

@@ -67,14 +67,15 @@ class TestDocsSite:
         ):
             assert f"## `repro-ho {command}`" in text
 
-    def test_cli_lint_help_documents_exit_codes_and_baseline_flow(self):
+    def test_cli_lint_help_documents_exit_codes_and_suppressions(self):
         """`repro-ho lint --help` (and therefore the generated reference)
-        must document the exit-code contract and the --baseline-update
-        flow — they are the CI integration surface."""
+        must document the exit-code contract and how to accept a finding
+        with an inline suppression — they are the CI integration surface."""
         text = (DOCS_DIR / "reference" / "cli.md").read_text(encoding="utf-8")
         lint_section = text.partition("## `repro-ho lint`")[2]
         assert "exit codes:" in lint_section
-        assert "--baseline-update" in lint_section
+        assert "repro-lint: ignore[ID]" in lint_section
+        assert "--baseline" not in lint_section
         assert "--format" in lint_section
 
     def test_rule_catalogue_is_in_sync_with_rule_docstrings(self):

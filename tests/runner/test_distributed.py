@@ -485,6 +485,39 @@ class TestSubmitterSemantics:
         assert all(not record.ok for record in result.records)
         assert result.stats.failures == len(result.records)
 
+    def test_wait_reads_the_manifest_once(self, tmp_path):
+        """A written manifest never changes: a wait spanning several polls
+        reads it once, then re-lists only the deposits."""
+        queue_dir = tmp_path / "queue"
+        reads, polls = [], []
+
+        class CountingStore(SharedStore):
+            def read_text(self, relpath):
+                reads.append(relpath)
+                return super().read_text(relpath)
+
+            def list(self, pattern):
+                if "/results/" in pattern:
+                    polls.append(pattern)
+                    if len(polls) == 3:  # the fleet finishes during the third poll
+                        worker = Worker(WorkQueue(queue_dir), worker_id="w0", ttl=30)
+                        while worker.run_once():
+                            pass
+                        worker.close()
+                return super().list(pattern)
+
+        runner = DistributedCampaignRunner(
+            WorkQueue(queue_dir, store=CountingStore(queue_dir)),
+            poll_interval=0.01,
+            wait_timeout=30,
+        )
+        campaign_id = runner.submit_campaign(demo_spec(runs=1, campaign_id="dist-wait"))
+        reads.clear()
+        polls.clear()
+        runner.wait(campaign_id)
+        assert len(polls) == 3
+        assert sum(relpath.endswith("/manifest.json") for relpath in reads) == 1
+
     def test_inline_worker_drains_reduced_submission(self, tmp_path):
         """The queue protocol round-trips reducers: a submitted reduced
         campaign drained by an in-process Worker equals the serial run."""
@@ -1238,8 +1271,8 @@ class TestObjectStoreFleet:
 
 
 def _monotone_totals(totals):
-    """The additive subset of fleet totals: counters and histogram
-    count/sum samples (gauges may legitimately move both ways)."""
+    """The additive subset of fleet totals: counters and timer
+    count/sum keys (every key of the flat map is additive)."""
     return {
         key: value
         for key, value in totals.items()

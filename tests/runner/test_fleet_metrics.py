@@ -1,8 +1,8 @@
-"""Unit and property tests for the fleet metrics registry.
+"""Unit and property tests for the fleet metrics map.
 
 The merge algebra is the load-bearing claim: fleet totals are rebuilt
 by folding per-worker snapshot shards in whatever order a directory
-scan yields them, so ``merge`` must be associative and commutative.
+scan yields them, so merging must be associative and commutative.
 Hypothesis drives that over random shards built from exactly
 representable values (multiples of 0.25 — dyadic rationals whose sums
 are exact in binary floating point, so the algebraic property is
@@ -16,152 +16,94 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runner.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
     FLEET_METRICS,
     MetricsRegistry,
-    escape_label_value,
     fleet_registry,
     metric_catalogue_markdown,
-    snapshot_json,
-    unescape_label_value,
 )
 
 # ----------------------------------------------------------------------
-# Unit tests: children, families, registry discipline
+# Unit tests: counters, timers, catalogue discipline
 # ----------------------------------------------------------------------
 
 
 class TestChildren:
     def test_counter_is_monotone(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c_total")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
+        registry.inc("repro_queue_claims_total")
+        registry.inc("repro_queue_claims_total", 2.5)
+        assert registry.flat_values() == {"repro_queue_claims_total": 3.5}
         with pytest.raises(ValueError):
-            counter.inc(-1)
+            registry.inc("repro_queue_claims_total", -1)
         with pytest.raises(ValueError):
-            counter.inc(float("nan"))
-        assert counter.value == 3.5
+            registry.inc("repro_queue_claims_total", float("nan"))
+        assert registry.flat_values() == {"repro_queue_claims_total": 3.5}
 
-    def test_gauge_moves_both_ways(self):
+    def test_timer_adds_sum_and_count(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(4)
-        gauge.inc()
-        gauge.dec(2.5)
-        assert gauge.value == 2.5
+        for seconds in (0.5, 1.0, 5.0, 100.0):
+            registry.observe("repro_runner_unit_seconds", seconds)
+        assert registry.flat_values() == {
+            "repro_runner_unit_seconds_count": 4.0,
+            "repro_runner_unit_seconds_sum": 106.5,
+        }
         with pytest.raises(ValueError):
-            gauge.set(float("inf"))
-
-    def test_histogram_buckets_and_totals(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", buckets=(1.0, 10.0))
-        child = hist.labels()
-        for value in (0.5, 1.0, 5.0, 100.0):
-            child.observe(value)
-        assert child.bucket_counts == [2.0, 1.0, 1.0]  # le=1, le=10, +Inf
-        assert child.count == 4
-        assert child.sum == 106.5
-        with pytest.raises(ValueError):
-            child.observe(float("nan"))
+            registry.observe("repro_runner_unit_seconds", float("inf"))
 
     def test_labelled_family_keys_children_and_validates(self):
         registry = MetricsRegistry()
-        family = registry.counter("runs_total", labelnames=("counter",))
-        family.labels(counter="hits").inc(3)
-        assert family.labels(counter="hits").value == 3
-        assert family.labels(counter="misses").value == 0
+        registry.inc("repro_runner_runs_total", 3, counter="hits")
+        assert registry.flat_values() == {'repro_runner_runs_total{counter="hits"}': 3.0}
         with pytest.raises(ValueError):
-            family.labels(wrong="hits")
+            registry.inc("repro_runner_runs_total", wrong="hits")
         with pytest.raises(ValueError):
-            family.inc()  # unlabelled proxy invalid on a labelled family
+            registry.inc("repro_runner_runs_total")  # its label is required
 
 
 class TestRegistry:
-    def test_registration_is_idempotent(self):
-        registry = MetricsRegistry()
-        first = registry.counter("c_total", "help")
-        second = registry.counter("c_total", "help")
-        assert first is second
-
     def test_shape_conflicts_fail_loudly(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total")
-        with pytest.raises(ValueError):
-            registry.gauge("c_total")
-        with pytest.raises(ValueError):
-            registry.counter("c_total", labelnames=("k",))
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 3.0))
-
-    def test_bad_names_and_buckets_rejected(self):
+        """Only catalogued names, used as their declared kind with their
+        declared labels, are accepted."""
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.counter("1bad")
+            registry.inc("repro_runner_unit_seconds")  # a timer
         with pytest.raises(ValueError):
-            registry.counter("bad name")
+            registry.observe("repro_queue_claims_total", 1.0)  # a counter
         with pytest.raises(ValueError):
-            registry.histogram("h", buckets=())
+            registry.inc("repro_queue_claims_total", direction="up")
         with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 1.0))
+            registry.inc("not_in_the_catalogue_total")
+        assert registry.flat_values() == {}
 
     def test_snapshot_is_deterministic_across_insertion_order(self):
         a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x_total").inc(1)
-        a.gauge("g").set(2)
-        b.gauge("g").set(2)  # reversed declaration order
-        b.counter("x_total").inc(1)
-        assert snapshot_json(a) == snapshot_json(b)
+        a.inc("repro_worker_units_total")
+        a.observe("repro_runner_unit_seconds", 2.0)
+        b.observe("repro_runner_unit_seconds", 2.0)  # reversed order
+        b.inc("repro_worker_units_total")
+        assert json.dumps(a.flat_values()) == json.dumps(b.flat_values())
 
     def test_flat_values_shape(self):
         registry = MetricsRegistry()
-        registry.counter("runs_total", labelnames=("counter",)).labels(
-            counter="hits"
-        ).inc(2)
-        registry.histogram("lat", buckets=(1.0,)).labels().observe(0.5)
+        registry.inc("repro_runner_runs_total", 2, counter="hits")
+        registry.observe("repro_queue_claim_latency_seconds", 0.5)
         flat = registry.flat_values()
-        assert flat['runs_total{counter="hits"}'] == 2
-        assert flat["lat_count"] == 1
-        assert flat["lat_sum"] == 0.5
-
-    def test_expose_text_prometheus_format(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", "a counter").inc(3)
-        hist = registry.histogram("h", "a histogram", buckets=(1.0, 10.0))
-        hist.labels().observe(0.5)
-        hist.labels().observe(5.0)
-        text = registry.expose_text()
-        assert "# HELP c_total a counter" in text
-        assert "# TYPE c_total counter" in text
-        assert "c_total 3" in text
-        assert "# TYPE h histogram" in text
-        assert 'h_bucket{le="1"} 1' in text  # cumulative
-        assert 'h_bucket{le="10"} 2' in text
-        assert 'h_bucket{le="+Inf"} 2' in text
-        assert "h_sum 5.5" in text
-        assert "h_count 2" in text
-
-    def test_expose_text_escapes_label_values(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", labelnames=("k",)).labels(
-            k='quo"te\\back\nline'
-        ).inc()
-        text = registry.expose_text()
-        assert 'c_total{k="quo\\"te\\\\back\\nline"} 1' in text
+        assert flat['repro_runner_runs_total{counter="hits"}'] == 2
+        assert flat["repro_queue_claim_latency_seconds_count"] == 1
+        assert flat["repro_queue_claim_latency_seconds_sum"] == 0.5
 
 
 class TestFleetCatalogue:
     def test_fleet_registry_predeclares_every_spec(self):
-        registry = fleet_registry()
-        snapshot = registry.snapshot()
-        names = {entry["name"] for entry in snapshot["metrics"]}
-        assert names == {spec.name for spec in FLEET_METRICS}
-        # Unlabelled families are materialised at zero for visibility.
-        flat = registry.flat_values()
-        assert flat["repro_queue_claims_total"] == 0
-        assert flat["repro_queue_claim_latency_seconds_count"] == 0
+        flat = fleet_registry().flat_values()
+        expected = set()
+        for spec in FLEET_METRICS:
+            if spec.kind == "timer":
+                expected |= {f"{spec.name}_sum", f"{spec.name}_count"}
+            elif not spec.labelnames:
+                expected.add(spec.name)
+        assert set(flat) == expected
+        assert set(flat.values()) == {0.0}
 
     def test_catalogue_markdown_covers_every_spec_sorted(self):
         table = metric_catalogue_markdown()
@@ -172,45 +114,33 @@ class TestFleetCatalogue:
     def test_malformed_snapshots_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            registry.merge_snapshot({})
-        with pytest.raises(ValueError):
-            registry.merge_snapshot({"metrics": [{"name": "x", "kind": "mystery"}]})
-        with pytest.raises(ValueError):
-            registry.merge_snapshot(
-                {
-                    "metrics": [
-                        {
-                            "name": "h",
-                            "kind": "histogram",
-                            "buckets": [1.0],
-                            "samples": [
-                                {
-                                    "labels": [],
-                                    "bucket_counts": [1.0],  # wrong length
-                                    "sum": 0.5,
-                                    "count": 1.0,
-                                }
-                            ],
-                        }
-                    ]
-                }
-            )
+            registry.merge_snapshot([("repro_worker_units_total", 1.0)])
+        for bad in (
+            {"metrics": [{"name": "x", "kind": "counter", "samples": []}]},
+            {"repro_queue_claims_total": -1.0},
+            {"repro_queue_claims_total": float("nan")},
+            {"repro_queue_claims_total": True},
+            {"repro_queue_claims_total": "3"},
+            {1: 1.0},
+        ):
+            with pytest.raises(ValueError):
+                registry.merge_snapshot({"repro_worker_units_total": 1.0, **bad})
+        assert registry.flat_values() == {}  # nothing of a rejected shard is added
 
 
 # ----------------------------------------------------------------------
-# Property tests: merge algebra, escaping, strict JSON
+# Property tests: merge algebra, strict JSON
 # ----------------------------------------------------------------------
 
 # Exactly representable non-negative quanta: sums of multiples of 0.25
 # below 2**40 are exact in float64, so the merge algebra is exact.
 _quantum = st.integers(min_value=0, max_value=4000).map(lambda i: i / 4.0)
-_signed_quantum = st.integers(min_value=-4000, max_value=4000).map(lambda i: i / 4.0)
-_label = st.sampled_from(["a", "b", "c", 'quo"te', "multi\nline", "back\\slash"])
+_label = st.sampled_from(["executed", "total", "cache_hits", "up", "down"])
 
 _shard = st.fixed_dictionaries(
     {
         "counters": st.dictionaries(_label, _quantum, max_size=4),
-        "gauge": _signed_quantum,
+        "claims": _quantum,
         "observations": st.lists(_quantum, max_size=8),
     }
 )
@@ -219,20 +149,18 @@ _shard = st.fixed_dictionaries(
 def build_registry(shard):
     """Materialise one worker-shard registry from a strategy draw."""
     registry = MetricsRegistry()
-    family = registry.counter("runs_total", "runs", labelnames=("counter",))
     for label, value in shard["counters"].items():
-        family.labels(counter=label).inc(value)
-    registry.gauge("g", "a gauge").set(shard["gauge"])
-    hist = registry.histogram("lat", "latency", buckets=DEFAULT_LATENCY_BUCKETS)
+        registry.inc("repro_runner_runs_total", value, counter=label)
+    registry.inc("repro_queue_claims_total", shard["claims"])
     for value in shard["observations"]:
-        hist.labels().observe(value)
+        registry.observe("repro_queue_claim_latency_seconds", value)
     return registry
 
 
 def merged(*shards):
     out = MetricsRegistry()
     for shard in shards:
-        out.merge(shard)
+        out.merge_snapshot(shard.flat_values())
     return out
 
 
@@ -243,52 +171,29 @@ class TestMergeAlgebra:
         a, b, c = build_registry(sa), build_registry(sb), build_registry(sc)
         left = merged(merged(a, b), c)
         right = merged(a, merged(b, c))
-        assert snapshot_json(left) == snapshot_json(right)
+        assert left.flat_values() == right.flat_values()
 
     @settings(deadline=None, max_examples=60)
     @given(_shard, _shard)
     def test_merge_is_commutative(self, sa, sb):
         a, b = build_registry(sa), build_registry(sb)
-        assert snapshot_json(merged(a, b)) == snapshot_json(merged(b, a))
+        assert merged(a, b).flat_values() == merged(b, a).flat_values()
 
     @settings(deadline=None, max_examples=60)
     @given(_shard)
     def test_merge_of_empty_is_identity(self, shard):
         registry = build_registry(shard)
         empty = MetricsRegistry()
-        assert snapshot_json(merged(registry, empty)) == snapshot_json(registry)
+        assert merged(registry, empty).flat_values() == registry.flat_values()
 
     @settings(deadline=None, max_examples=60)
     @given(_shard)
     def test_snapshot_round_trips_through_strict_json(self, shard):
         registry = build_registry(shard)
         # Strict JSON must serialise (no NaN/inf can have entered) …
-        text = json.dumps(registry.snapshot(), allow_nan=False)
+        text = json.dumps(registry.flat_values(), allow_nan=False)
         # … and merging the parsed payload into a fresh registry must
         # reproduce the same totals.
         rebuilt = MetricsRegistry()
         rebuilt.merge_snapshot(json.loads(text))
-        assert snapshot_json(rebuilt) == snapshot_json(registry)
-
-
-class TestLabelEscaping:
-    @settings(deadline=None, max_examples=120)
-    @given(st.text(max_size=40))
-    def test_escape_round_trips(self, value):
-        assert unescape_label_value(escape_label_value(value)) == value
-
-    @settings(deadline=None, max_examples=120)
-    @given(st.text(max_size=40))
-    def test_escaped_value_is_single_line_and_quote_safe(self, value):
-        escaped = escape_label_value(value)
-        assert "\n" not in escaped
-        # Any remaining double quote must be preceded by a backslash.
-        index = escaped.find('"')
-        while index != -1:
-            backslashes = 0
-            probe = index - 1
-            while probe >= 0 and escaped[probe] == "\\":
-                backslashes += 1
-                probe -= 1
-            assert backslashes % 2 == 1
-            index = escaped.find('"', index + 1)
+        assert rebuilt.flat_values() == registry.flat_values()

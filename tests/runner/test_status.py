@@ -4,10 +4,11 @@ Covers the pure text renderer (golden-tested with COLUMNS pinned to
 prove terminal independence), the status CLI's JSON contract, the
 fleet_metrics mid-scan hardening (concurrently deleted / truncated
 files must degrade, never raise), and the supervisor's scale-event
-counters and worker gauges.
+counters.
 """
 
 import json
+import logging
 
 from repro.cli import main, render_fleet_status
 from repro.runner import Supervisor, Worker, WorkQueue, fleet_status, task_from_spec
@@ -153,8 +154,18 @@ class TestStatusCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [entry["worker"] for entry in payload["workers"]] == ["w0"]
         totals = payload["totals"]
-        assert totals["repro_worker_units_total"] >= 1
-        assert totals["repro_queue_deposits_total"] >= 1
+        # Every key the benchmark's fleet counters and the CI fleet
+        # check read, with its meaning.
+        units = totals["repro_worker_units_total"]
+        assert units >= 1
+        assert totals["repro_queue_claims_total"] == units  # one worker, no lost races
+        assert totals["repro_queue_deposits_total"] == units
+        assert totals["repro_worker_steals_total"] == 0
+        assert totals["repro_queue_requeues_total"] == 0
+        assert totals["repro_queue_lease_breaks_total"] == 0
+        assert totals["repro_queue_claim_latency_seconds_sum"] > 0
+        assert totals["repro_runner_unit_seconds_sum"] > 0
+        assert totals['repro_runner_runs_total{counter="executed"}'] == len(tasks)
         assert totals['repro_runner_runs_total{counter="total"}'] == len(tasks)
 
         code = main(["status", "--queue-dir", str(tmp_path)])
@@ -244,27 +255,42 @@ class TestFleetMetricsHardening:
         status = fleet_status(queue)
         assert [entry["worker"] for entry in status["workers"]] == ["good"]
 
-    def test_malformed_metrics_payload_yields_empty_counters(self, tmp_path):
+    def test_malformed_metrics_payload_yields_empty_counters(self, tmp_path, caplog):
         """Valid JSON whose metrics block violates the snapshot schema
-        must not poison the merge: the shard is listed with no counters."""
-        queue = WorkQueue(tmp_path)
-        bad = tmp_path / "metrics" / "odd.json"
-        bad.parent.mkdir(exist_ok=True)
-        bad.write_text(
-            json.dumps(
+        must not poison the merge: the shard is listed with no counters,
+        adds nothing to the totals, and is logged."""
+        family_list = {  # the format of snapshots written before the flat map
+            "metrics": [
                 {
-                    "worker": "odd",
-                    "written_at": "not-a-time",
-                    "metrics": {"metrics": [{"name": "x", "kind": "mystery"}]},
+                    "name": "repro_worker_units_total",
+                    "kind": "counter",
+                    "help": "",
+                    "labelnames": [],
+                    "samples": [{"labels": [], "value": 3.0}],
                 }
-            ),
-            "utf-8",
-        )
-        status = fleet_status(queue)
-        (entry,) = status["workers"]
-        assert entry["worker"] == "odd"
-        assert entry["age_seconds"] is None
-        assert entry["counters"] == {}
+            ]
+        }
+        for name, metrics in (
+            ("mystery-kind", {"metrics": [{"name": "x", "kind": "mystery"}]}),
+            ("family-list", family_list),
+            ("negative", {"repro_worker_units_total": -3.0}),
+        ):
+            queue = WorkQueue(tmp_path / name)
+            bad = tmp_path / name / "metrics" / "odd.json"
+            bad.parent.mkdir(parents=True)
+            bad.write_text(
+                json.dumps({"worker": "odd", "written_at": "not-a-time", "metrics": metrics}),
+                "utf-8",
+            )
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.runner.distributed"):
+                status = fleet_status(queue)
+            (entry,) = status["workers"]
+            assert entry["worker"] == "odd"
+            assert entry["age_seconds"] is None
+            assert entry["counters"] == {}
+            assert status["totals"]["repro_worker_units_total"] == 0
+            assert "metric snapshot from worker odd is unusable" in caplog.text, name
 
 
 class _FakeProc:
@@ -302,8 +328,7 @@ class TestSupervisorScaleMetrics:
         )
         status = supervisor.poll_once()
         assert status["target"] == 3  # depth policy: unclaimed units + busy workers
+        assert status["workers"] == 3
         assert len(supervisor.workers) == 3
         flat = supervisor.queue.metrics.flat_values()
         assert flat['repro_supervisor_scale_events_total{direction="up"}'] == 1
-        assert flat["repro_supervisor_target_workers"] == 3
-        assert flat["repro_supervisor_live_workers"] == 3

@@ -349,7 +349,7 @@ class TestPackedTierAndChunking:
         byte, and the split must be visible in the chunk markers."""
         monkeypatch.setattr(batch_engine, "_PACKED_MIN_N", packed_min_n)
         whole = run_algorithm_batch(self._sweep(256, "random-omission", seeds=4))
-        monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "100k")
+        monkeypatch.setattr(batch_engine, "_MEMORY_BUDGET", 100 * 1024)
         chunked = run_algorithm_batch(self._sweep(256, "random-omission", seeds=4))
         splits = sum(r.metadata.get("batch_chunks", 0) for r in chunked)
         assert splits > 0, "budget did not force a split"
@@ -360,7 +360,7 @@ class TestPackedTierAndChunking:
     def test_chunked_reference_parity(self, monkeypatch):
         """Chunked execution is still byte-identical to the reference
         engine (not merely self-consistent)."""
-        monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "8k")
+        monkeypatch.setattr(batch_engine, "_MEMORY_BUDGET", 8 * 1024)
         config = SimulationConfig(max_rounds=MAX_ROUNDS, record_states=False)
         requests, references = [], []
         for seed in range(6):
@@ -381,17 +381,3 @@ class TestPackedTierAndChunking:
         assert sum(r.metadata.get("batch_chunks", 0) for r in chunked) > 0
         for reference, batch in zip(references, chunked):
             assert_equivalent(reference, batch)
-
-    def test_budget_parse_errors(self, monkeypatch):
-        from repro.simulation.batch_engine import _memory_budget_bytes
-
-        monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "1.5g")
-        assert _memory_budget_bytes() == int(1.5 * 1024**3)
-        monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "512k")
-        assert _memory_budget_bytes() == 512 * 1024
-        monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", "0")
-        assert _memory_budget_bytes() is None
-        for bad in ("lots", "inf", "1e400", "nan"):
-            monkeypatch.setenv("REPRO_BATCH_MEMORY_BUDGET", bad)
-            with pytest.raises(ValueError, match="REPRO_BATCH_MEMORY_BUDGET must be a byte count"):
-                _memory_budget_bytes()
