@@ -45,6 +45,54 @@ class TestModuleGates:
         assert word_replay_matches()
 
 
+def _flush_one_draw_late(flush):
+    def broken(self):
+        rng = flush(self)
+        rng.random()
+        return rng
+
+    return broken
+
+
+#: One wrong-but-plausible version of every port a batch planner calls:
+#: (owner, attribute, mutant factory).  ``None`` owner means a module
+#: function of ``rng_bridge``.
+_PORT_MUTANTS = {
+    "random": (WordStream, "random", lambda f: lambda self: f(self) / 2),
+    "randbelow": (WordStream, "randbelow", lambda f: lambda self, n: (f(self, n) + 1) % n),
+    "sample": (
+        WordStream,
+        "sample",
+        lambda f: lambda self, population, k: f(self, population, k)[::-1],
+    ),
+    "chain_values": (
+        WordStream,
+        "chain_values",
+        lambda f: lambda self, count, bound: [(v + 1) % bound for v in f(self, count, bound)],
+    ),
+    "chain_walk": (WordStream, "chain_walk", lambda f: lambda self, *args: f(self, *args)[::-1]),
+    "flush": (WordStream, "flush", _flush_one_draw_late),
+    "chain_values_many": (
+        None,
+        "chain_values_many",
+        lambda f: lambda *args: [row[::-1] for row in f(*args)],
+    ),
+    "chain_walk_many_array": (None, "chain_walk_many_array", lambda f: lambda *args: f(*args)[::-1]),
+}
+
+
+@pytest.mark.parametrize("port", sorted(_PORT_MUTANTS))
+def test_self_check_fails_when_any_planner_port_is_wrong(port, monkeypatch):
+    """``word_replay_matches`` gates every word-stream planner, so it must
+    notice a wrong draw from each port a planner calls."""
+    import repro.adversary.rng_bridge as rng_bridge
+
+    owner, attribute, mutant = _PORT_MUTANTS[port]
+    owner = rng_bridge if owner is None else owner
+    monkeypatch.setattr(owner, attribute, mutant(getattr(owner, attribute)))
+    assert not word_replay_matches()
+
+
 class TestRngBridge:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_block_equals_scalar_stream(self, seed):

@@ -77,6 +77,18 @@ class TestExitCodes:
         assert main([str(tmp_path / "nope.py")]) == EXIT_USAGE
         assert "no such path" in capsys.readouterr().err
 
+    def test_invalid_baseline_exits_two(self, tmp_path, capsys):
+        """No baseline is valid any more: an invocation that still passes
+        one is a usage error, never a silently ignored flag."""
+        target = _write_fixture(tmp_path, "x = 1\n")
+        baseline = tmp_path / "bad.json"
+        baseline.write_text("[not json", encoding="utf-8")
+        for flags in (["--baseline", str(baseline)], ["--no-baseline"], ["--baseline-update"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([str(target), *flags])
+            assert excinfo.value.code == EXIT_USAGE
+            assert "repro-lint: error: unrecognized arguments" in capsys.readouterr().err
+
 
 class TestOutputModes:
     def test_json_format_emits_findings_and_summary(self, tmp_path, capsys):
@@ -139,3 +151,18 @@ class TestSelfCleanGate:
         assert main(["src/repro"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         assert "0 findings" in out
+
+    def test_spec_to_json_a301_is_accepted_inline(self, capsys, monkeypatch):
+        """The tree's accepted A301 (`CampaignSpec.to_json` writes a file
+        the user named, not shared queue/cache state) is suppressed beside
+        the write, with its justification."""
+        monkeypatch.chdir(REPO_ROOT)
+        spec_py = "src/repro/runner/spec.py"
+        code = main([spec_py, "--rules", "A301,L901", "--format", "json"])
+        assert code == EXIT_CLEAN
+        (item,) = json.loads(capsys.readouterr().out)["suppressed"]
+        assert (item["rule"], item["path"]) == ("A301", spec_py)
+        lines = (REPO_ROOT / spec_py).read_text(encoding="utf-8").splitlines()
+        to_json = lines.index("    def to_json(self, path: Union[str, Path]) -> None:") + 1
+        assert to_json < item["line"] <= to_json + 3
+        assert "not shared queue/cache state" in item["justification"]

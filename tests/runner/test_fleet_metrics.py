@@ -10,6 +10,7 @@ testable with ``==``).
 """
 
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,19 @@ class TestChildren:
         with pytest.raises(ValueError):
             registry.observe("repro_runner_unit_seconds", float("inf"))
 
+    def test_rejected_observation_adds_neither_sum_nor_count(self):
+        """A timer's two keys move together: a rejected duration must not
+        leave a ``_count`` without its ``_sum``."""
+        registry = MetricsRegistry()
+        registry.observe("repro_runner_window_seconds", 0.25)
+        for bad in (-0.5, float("nan"), float("inf"), True, "1"):
+            with pytest.raises(ValueError):
+                registry.observe("repro_runner_window_seconds", bad)
+        assert registry.flat_values() == {
+            "repro_runner_window_seconds_count": 1.0,
+            "repro_runner_window_seconds_sum": 0.25,
+        }
+
     def test_labelled_family_keys_children_and_validates(self):
         registry = MetricsRegistry()
         registry.inc("repro_runner_runs_total", 3, counter="hits")
@@ -61,6 +75,43 @@ class TestChildren:
 
 
 class TestRegistry:
+    def test_registration_is_idempotent(self):
+        """Declaring the catalogue again changes nothing: merging a fresh
+        fleet registry's zeros into one that already counts leaves every
+        sum as it was, and no two fleet registries share state."""
+        registry = fleet_registry()
+        registry.inc("repro_queue_claims_total", 2)
+        registry.observe("repro_queue_claim_latency_seconds", 0.5)
+        before = registry.flat_values()
+        registry.merge_snapshot(fleet_registry().flat_values())
+        assert registry.flat_values() == before
+        assert fleet_registry().flat_values()["repro_queue_claims_total"] == 0.0
+
+    def test_concurrent_updates_are_not_lost(self):
+        """Worker threads (heartbeat, executor, snapshot) share one map;
+        its lock must make every add land exactly once."""
+        registry = MetricsRegistry()
+        threads, adds = 4, 500
+
+        def hammer():
+            for _ in range(adds):
+                registry.inc("repro_queue_claims_total")
+                registry.inc("repro_runner_runs_total", 2, counter="executed")
+                registry.observe("repro_runner_unit_seconds", 0.25)
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        total = threads * adds
+        assert registry.flat_values() == {
+            "repro_queue_claims_total": total,
+            'repro_runner_runs_total{counter="executed"}': 2.0 * total,
+            "repro_runner_unit_seconds_count": total,
+            "repro_runner_unit_seconds_sum": 0.25 * total,
+        }
+
     def test_shape_conflicts_fail_loudly(self):
         """Only catalogued names, used as their declared kind with their
         declared labels, are accepted."""
@@ -104,6 +155,22 @@ class TestFleetCatalogue:
                 expected.add(spec.name)
         assert set(flat) == expected
         assert set(flat.values()) == {0.0}
+
+    def test_every_key_is_seen_by_the_monotone_check(self):
+        """Readers pick the additive keys by suffix (CI's fleet check keeps
+        keys containing ``_total`` or ending ``_count``/``_sum``), so every
+        counter must end ``_total`` and every timer ``_seconds``; each
+        labelled counter names exactly one label."""
+        names = [spec.name for spec in FLEET_METRICS]
+        assert len(names) == len(set(names))
+        for spec in FLEET_METRICS:
+            assert spec.kind in ("counter", "timer"), spec.name
+            if spec.kind == "counter":
+                assert spec.name.endswith("_total"), spec.name
+                assert len(spec.labelnames) <= 1, spec.name
+            else:
+                assert spec.name.endswith("_seconds"), spec.name
+                assert spec.labelnames == (), spec.name
 
     def test_catalogue_markdown_covers_every_spec_sorted(self):
         table = metric_catalogue_markdown()
@@ -185,6 +252,18 @@ class TestMergeAlgebra:
         registry = build_registry(shard)
         empty = MetricsRegistry()
         assert merged(registry, empty).flat_values() == registry.flat_values()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(_shard, max_size=4))
+    def test_merged_totals_are_keywise_sums(self, shards):
+        """Fleet totals are each key's sum over the shards that carry it,
+        so adding a shard never lowers a total."""
+        registries = [build_registry(shard) for shard in shards]
+        expected = {}
+        for registry in registries:
+            for key, value in registry.flat_values().items():
+                expected[key] = expected.get(key, 0.0) + value
+        assert merged(*registries).flat_values() == expected
 
     @settings(deadline=None, max_examples=60)
     @given(_shard)

@@ -174,6 +174,21 @@ class TestStatusCommand:
         assert "workers: 1 snapshot(s)" in text
         assert "leases: none" in text
 
+    def test_worker_times_each_window(self, tmp_path):
+        """The worker times every run_tasks/run_reduced window it makes;
+        windows run inside units, so their time never exceeds the units'."""
+        queue = WorkQueue(tmp_path)
+        queue.submit([task_from_spec(spec) for spec in tiny_spec().expand()], batch_size=2)
+        worker = Worker(queue, worker_id="w0", poll_interval=0.01)
+        while worker.run_once():
+            pass
+        flat = queue.metrics.flat_values()
+        units = flat["repro_worker_units_total"]
+        assert units >= 1
+        assert flat["repro_runner_window_seconds_count"] >= units
+        assert 0 < flat["repro_runner_window_seconds_sum"]
+        assert flat["repro_runner_window_seconds_sum"] <= flat["repro_runner_unit_seconds_sum"]
+
     def test_json_output_is_strict_and_sorted(self, tmp_path, capsys):
         queue = WorkQueue(tmp_path)
         queue.write_metric_snapshot("w0")
@@ -254,6 +269,35 @@ class TestFleetMetricsHardening:
         bad.write_text('{"worker": "bad", "written_at": 1, "metrics": {"met', "utf-8")
         status = fleet_status(queue)
         assert [entry["worker"] for entry in status["workers"]] == ["good"]
+
+    def test_old_format_shard_beside_a_good_one_keeps_the_good_totals(self, tmp_path):
+        """A fleet mid-upgrade: one worker deposits the flat map, another
+        a snapshot in the earlier family-list format.  The old shard is
+        listed with no counters; the totals are the good shard's alone."""
+        queue = WorkQueue(tmp_path)
+        queue.metrics.inc("repro_worker_units_total", 2)
+        queue.metrics.observe("repro_runner_unit_seconds", 0.5)
+        queue.write_metric_snapshot("new")
+        old = {
+            "worker": "old",
+            "written_at": 1.0,
+            "metrics": {
+                "metrics": [
+                    {
+                        "name": "repro_worker_units_total",
+                        "kind": "counter",
+                        "samples": [{"labels": [], "value": 5.0}],
+                    }
+                ]
+            },
+        }
+        (tmp_path / "metrics" / "old.json").write_text(json.dumps(old), "utf-8")
+        status = fleet_status(queue)
+        entries = {entry["worker"]: entry for entry in status["workers"]}
+        assert sorted(entries) == ["new", "old"]
+        assert entries["old"]["counters"] == {}
+        assert entries["new"]["units"] == 2
+        assert status["totals"] == queue.metrics.flat_values()
 
     def test_malformed_metrics_payload_yields_empty_counters(self, tmp_path, caplog):
         """Valid JSON whose metrics block violates the snapshot schema

@@ -381,3 +381,12 @@ class TestPackedTierAndChunking:
         assert sum(r.metadata.get("batch_chunks", 0) for r in chunked) > 0
         for reference, batch in zip(references, chunked):
             assert_equivalent(reference, batch)
+
+    def test_default_budget_keeps_bench_sized_groups_whole(self):
+        """The fixed 2 GiB budget leaves every group the benchmarks run in
+        one chunk: 300 runs at n = 16, 600 dense runs at n = 40, 48 packed
+        runs at n = 1024 and the massive-n sweeps up to n = 2048."""
+        assert batch_engine._MEMORY_BUDGET == 2 * 1024**3
+        for n, runs in ((16, 300), (40, 600), (256, 24), (512, 16), (1024, 48), (2048, 6)):
+            per_run = batch_engine._per_run_bytes(n, batch_engine._packed_tier(n))
+            assert batch_engine._MEMORY_BUDGET // per_run >= runs, (n, runs)
