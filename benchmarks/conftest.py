@@ -3,8 +3,9 @@
 Every benchmark regenerates one of the paper's tables/figures by calling
 the corresponding experiment driver under ``pytest-benchmark`` (a single
 measured iteration — the drivers are full simulation sweeps, not
-micro-benchmarks), printing the resulting table, and writing it as JSON
-to ``benchmarks/results/`` so EXPERIMENTS.md can reference the artefacts.
+micro-benchmarks) and printing the resulting table.  Nothing is written
+into the tree: the measured trajectory lives in ``bench/results/``
+(``python3 bench/run.py``), and these tests only print what they measured.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def peak_rss_mb() -> float:
@@ -46,11 +45,9 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture
 def record_report(capsys):
-    """Return a callable that prints and persists an ExperimentReport."""
+    """Return a callable that prints an ExperimentReport."""
 
     def _record(report):
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        report.to_json(RESULTS_DIR / f"{report.experiment_id}.json")
         with capsys.disabled():
             print()
             print(report.render())

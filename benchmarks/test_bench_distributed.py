@@ -22,8 +22,8 @@ single-core runner):
 
 Rows are checked byte-identical first (the distributed path — stolen or
 not — is semantically invisible) and the stealing fleet's shared cache
-must fully serve a serial re-run.  Results land in
-``benchmarks/results/distributed.json``, one section per benchmark.
+must fully serve a serial re-run.  Results are printed, one section
+per benchmark.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import json
 import multiprocessing
 import time
 
-from benchmarks.conftest import RESULTS_DIR
 from repro.runner import (
     AdversarySpec,
     AlgorithmSpec,
@@ -62,17 +61,8 @@ STEAL_SPEEDUP_FLOOR = 1.3
 
 
 def _record_results(section: str, payload: dict) -> None:
-    """Merge one benchmark's payload into results/distributed.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / "distributed.json"
-    try:
-        combined = json.loads(path.read_text())
-        if not isinstance(combined, dict) or "benchmark" in combined:
-            combined = {}
-    except (OSError, ValueError):
-        combined = {}
-    combined[section] = payload
-    path.write_text(json.dumps(combined, indent=2))
+    """Print one benchmark's payload (nothing is written into the tree)."""
+    print(f"\n{section}: {json.dumps(payload, indent=2)}")
 
 
 def _spec() -> CampaignSpec:

@@ -14,7 +14,7 @@ the same sweeps dispatched run by run on the ``fast`` backend:
 
 Every sweep is first checked row-identical between the backends (the
 batch engine is semantically invisible), then timed.  Results are
-recorded to ``benchmarks/results/engine_batch.json``.
+printed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from benchmarks.conftest import RESULTS_DIR, peak_rss_mb
+from benchmarks.conftest import peak_rss_mb
 from repro.adversary import (
     RandomCorruptionAdversary,
     RandomOmissionAdversary,
@@ -114,8 +114,6 @@ def test_bench_batch_engine_speedup():
             "peak_rss_mb": round(peak_mb, 1),
         }
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    out = RESULTS_DIR / "engine_batch.json"
     payload = {
         "benchmark": "A_TE seed sweeps, per-run fast vs vectorised batch backend",
         "n": N,
@@ -123,7 +121,7 @@ def test_bench_batch_engine_speedup():
         "record_states": False,
         "cells": measurements,
     }
-    out.write_text(json.dumps(payload, indent=2))
+    print(f"\n{json.dumps(payload, indent=2)}")
     for name, row in measurements.items():
         print(
             f"\n{name}: fast={row['fast_seconds']}s "

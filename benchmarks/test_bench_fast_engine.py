@@ -13,9 +13,8 @@ environments:
   value-fault environment.
 
 Every backend pair is first checked row-identical (the fast backend is
-semantically invisible), then timed.  Measured speedups are recorded to
-``benchmarks/results/engine_fast.json`` — the first entry of the
-engine-performance trajectory.
+semantically invisible), then timed.  Measured speedups are printed;
+the engine-performance trajectory lives in ``bench/results/history.jsonl``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import json
 import time
 
-from benchmarks.conftest import RESULTS_DIR
 from repro.adversary import (
     RandomCorruptionAdversary,
     RandomOmissionAdversary,
@@ -78,8 +76,6 @@ def test_bench_fast_engine_speedup():
             "speedup": round(reference_seconds / fast_seconds, 2),
         }
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    out = RESULTS_DIR / "engine_fast.json"
     payload = {
         "benchmark": "A_TE sweep, reference vs fast backend",
         "n": N,
@@ -88,7 +84,7 @@ def test_bench_fast_engine_speedup():
         "record_states": False,
         "environments": measurements,
     }
-    out.write_text(json.dumps(payload, indent=2))
+    print(f"\n{json.dumps(payload, indent=2)}")
     for name, row in measurements.items():
         print(
             f"\n{name}: reference={row['reference_seconds']}s "

@@ -11,8 +11,7 @@ worker and ships only a compact :class:`ReducedRecord`.  This module
   shipped from workers by at least 5×, and
 * times both paths through a ``jobs=4`` worker pool.
 
-Measured payloads are recorded to ``benchmarks/results/reduction.json``
-(see also ``benchmarks/RESULTS_reduction.md`` for a captured run).
+Measured payloads are printed; nothing is written into the tree.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import pickle
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR
 from repro.adversary import PeriodicGoodRoundAdversary, RandomCorruptionAdversary
 from repro.algorithms import AteAlgorithm
 from repro.core.predicates import AlphaSafePredicate
@@ -67,16 +65,13 @@ def test_bench_reduced_payload_bytes(n):
     """The reduced path must ship ≥ 5× fewer bytes per run from workers."""
     full_bytes, reduced_bytes = payload_sizes(n)
     ratio = full_bytes / reduced_bytes
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    out = RESULTS_DIR / "reduction.json"
-    recorded = json.loads(out.read_text()) if out.exists() else {}
-    recorded[f"n={n}"] = {
+    recorded = {
         "full_result_bytes_per_run": full_bytes,
         "reduced_record_bytes_per_run": reduced_bytes,
         "reduction_factor": round(ratio, 1),
         "max_rounds": MAX_ROUNDS,
     }
-    out.write_text(json.dumps(recorded, indent=2))
+    print(f"\nn={n}: {json.dumps(recorded)}")
     print(
         f"\nn={n}: full={full_bytes}B reduced={reduced_bytes}B "
         f"({ratio:.0f}x smaller)"

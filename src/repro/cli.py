@@ -214,8 +214,8 @@ def _spec_reducer(name: str, spec: CampaignSpec):
 
 
 def _print_worker_stats(runner) -> None:
-    """Per-worker stats lines for distributed runners (fleet summary)."""
-    for worker_id in sorted(getattr(runner, "worker_stats", {})):
+    """Per-worker stats lines (fleet runners only; a local runner has none)."""
+    for worker_id in sorted(runner.worker_stats):
         print(f"worker[{worker_id}]: {runner.worker_stats[worker_id].summary()}")
 
 
@@ -370,12 +370,11 @@ def _run_campaign_command(args: argparse.Namespace, backend: str) -> int:
             return 0
         try:
             with _make_campaign_runner(args, backend) as runner:
-                if reducer is not None:
-                    result = runner.run_reduced_campaign(spec, reducer)
-                    report = reduced_campaign_report(spec, reducer, result.records)
-                else:
-                    result = runner.run_campaign(spec)
-                    report = campaign_report(spec, result.records)
+                result = runner.run_campaign(spec, reducer)
+            if reducer is None:
+                report = campaign_report(spec, result.records)
+            else:
+                report = reduced_campaign_report(spec, reducer, result.records)
         except RunTimeoutError as exc:
             # --distributed --wait-timeout expired before the fleet
             # finished; the campaign stays queued for late workers.

@@ -15,9 +15,9 @@ Entry points
   :class:`Reducer` inside the worker process and ship back only compact
   :class:`ReducedRecord`s (what the E3-E12 drivers route through).
 * :class:`CampaignSpec` — declarative grid; run with
-  :meth:`CampaignRunner.run_campaign` (or ``run_reduced_campaign``) and
-  fold into a report with :func:`campaign_report`
-  (:func:`reduced_campaign_report`).
+  :meth:`CampaignRunner.run_campaign` (``run_campaign(spec, reducer)``
+  reduces in-worker) and fold the :class:`CampaignResult` into a report
+  with :func:`campaign_report` (:func:`reduced_campaign_report`).
 * ``repro-ho campaign`` — the CLI surface over both (``--reduce`` picks
   the in-worker reducer for ``--spec`` campaigns).
 """
@@ -30,9 +30,7 @@ from repro.runner.aggregate import (
 )
 from repro.runner.cache import ResultCache
 from repro.runner.distributed import (
-    DistributedCampaignResult,
     DistributedCampaignRunner,
-    DistributedReducedCampaignResult,
     IncompleteCampaignError,
     Lease,
     Supervisor,
@@ -45,7 +43,6 @@ from repro.runner.distributed import (
 from repro.runner.executor import (
     CampaignResult,
     CampaignRunner,
-    ReducedCampaignResult,
     RunTask,
     RunTimeoutError,
     cacheable_key,
@@ -104,9 +101,7 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "DecisionReducer",
-    "DistributedCampaignResult",
     "DistributedCampaignRunner",
-    "DistributedReducedCampaignResult",
     "FsspecObjectClient",
     "InMemoryObjectClient",
     "IncompleteCampaignError",
@@ -121,7 +116,6 @@ __all__ = [
     "FaultProfileReducer",
     "PredicateReducer",
     "PredicateSpec",
-    "ReducedCampaignResult",
     "ReducedRecord",
     "Reducer",
     "ResultCache",

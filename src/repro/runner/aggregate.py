@@ -13,35 +13,27 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.runner.records import RunRecord
-from repro.runner.reduce import Reducer, ReducedRecord, batch_report_from_reduced
+from repro.runner.reduce import Reducer, ReducedRecord, _fold, batch_report_from_reduced
 from repro.runner.spec import CampaignSpec, stable_hash
 from repro.verification.properties import BatchReport
 
 
 def batch_report_from_records(records: Iterable[RunRecord]) -> BatchReport:
-    """Build a :class:`BatchReport` equivalent to aggregating the raw results."""
+    """Build a :class:`BatchReport` equivalent to aggregating the raw results.
+
+    Refuses failed runs: a crashed or timed-out run has no outcome to
+    count, and skipping it would silently change every rate.
+    """
     records = list(records)
-    has_predicate = any(record.predicate_held is not None for record in records)
-    report = BatchReport(predicate_held=0 if has_predicate else None)
     for record in records:
         if not record.ok:
             raise RuntimeError(
                 f"cannot aggregate failed run (run_index={record.run_index}): {record.error}"
             )
-        report.total += 1
-        report.agreement_ok += int(record.agreement)
-        report.integrity_ok += int(record.integrity)
-        report.termination_ok += int(record.termination)
-        report.validity_ok += int(record.validity)
-        if record.last_decision_round is not None:
-            report.decision_rounds.append(record.last_decision_round)
-        report.corruption_totals.append(record.messages_corrupted)
-        report.violations.extend(record.violations)
-        if record.predicate_held is not None:
-            report.predicate_held += int(record.predicate_held)
-            if record.predicate_held and not record.all_satisfied:
-                report.counterexamples += 1
-    return report
+    return _fold(
+        ((vars(record), record.predicate_held) for record in records),
+        any(record.predicate_held is not None for record in records),
+    )
 
 
 def group_by_cell(

@@ -103,9 +103,6 @@ class ResultCache:
         if (root is None) == (store is None):
             raise ValueError("ResultCache needs exactly one of root= or store=")
         self.store: CacheStore = store if store is not None else LocalDirStore(root)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
         #: Optional observability hook fired once per corrupt entry
         #: (the fleet wires it to ``repro_cache_corrupt_total``); hook
         #: errors are swallowed — metrics must never break a cache read.
@@ -144,17 +141,18 @@ class ResultCache:
         return payload
 
     def _decode(self, key: str, payload: Optional[Dict[str, object]], decoder):
-        """Decode a payload, demoting any malformed entry to a miss."""
-        if payload is not None:
-            try:
-                record = decoder(payload)
-            except Exception as exc:
-                self._warn_corrupt(key, f"{type(exc).__name__}: {exc}")
-            else:
-                self.hits += 1
-                return record
-        self.misses += 1
-        return None
+        """Decode a payload, demoting any malformed entry to a miss.
+
+        Hits and misses are counted once, by the runner that asked
+        (:class:`~repro.runner.records.RunnerStats`), not here.
+        """
+        if payload is None:
+            return None
+        try:
+            return decoder(payload)
+        except Exception as exc:
+            self._warn_corrupt(key, f"{type(exc).__name__}: {exc}")
+            return None
 
     def _warn_corrupt(self, key: str, reason: str) -> None:
         """A corrupted/truncated entry is a miss, not an error: warn, drop
@@ -164,7 +162,6 @@ class ResultCache:
             "cache entry for key %s is corrupt (%s); treating as a miss and "
             "requeuing the run", key, reason,
         )
-        self.corrupt += 1
         if self.on_corrupt is not None:
             try:
                 self.on_corrupt()

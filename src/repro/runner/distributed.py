@@ -63,9 +63,8 @@ Entry points
 ------------
 * :class:`DistributedCampaignRunner` — the submitter.  Implements the
   same execution surface as :class:`CampaignRunner`
-  (``run_tasks``/``run_reduced``/``run_campaign``/
-  ``run_reduced_campaign``), so every experiment driver accepts it via
-  the existing ``runner=`` kwarg.
+  (``run_tasks``/``run_reduced``/``run_campaign``), so every experiment
+  driver accepts it via the existing ``runner=`` kwarg.
 * :class:`Worker` / :func:`run_worker` — the claiming loop
   (``repro-ho worker --queue-dir ...``), stealing by default.
 * :class:`Supervisor` — auto-scales a local worker fleet from queue
@@ -87,16 +86,15 @@ import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.runner.cache import ResultCache
 from repro.runner.executor import (
-    CampaignResult,
     CampaignRunner,
-    ReducedCampaignResult,
     RunTask,
     RunTimeoutError,
     _Outcome,
@@ -387,24 +385,22 @@ class WorkQueue:
     def submit(
         self,
         tasks: Sequence[RunTask],
-        kind: str = "records",
         reducer: Optional[Reducer] = None,
         batch_size: int = 8,
         campaign_id: Optional[str] = None,
     ) -> str:
         """Enqueue ``tasks`` as one campaign; returns its campaign id.
 
-        Submission is idempotent: when every task carries a cacheable
-        key, the campaign id is derived from those keys (plus kind,
-        reducer fingerprint and batch size), so re-submitting the same
-        work attaches to the existing campaign — including one that
-        already completed — instead of re-enqueuing it.  Tasks without
-        cacheable keys get a one-off campaign id.
+        The manifest's ``kind`` follows ``reducer``: ``"reduced"`` with
+        one, ``"records"`` without.  Submission is idempotent: when
+        every task carries a cacheable key, the campaign id is derived
+        from those keys (plus kind, reducer fingerprint and batch size),
+        so re-submitting the same work attaches to the existing campaign
+        — including one that already completed — instead of
+        re-enqueuing it.  Tasks without cacheable keys get a one-off
+        campaign id.
         """
-        if kind not in ("records", "reduced"):
-            raise ValueError(f"kind must be 'records' or 'reduced', got {kind!r}")
-        if kind == "reduced" and reducer is None:
-            raise ValueError("kind='reduced' requires a reducer")
+        kind = "records" if reducer is None else "reduced"
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not tasks:
@@ -1083,6 +1079,22 @@ class _LeaseHeartbeat(threading.Thread):
         self.join(timeout=10.0)
 
 
+def _deposit_metrics(queue: WorkQueue, owner_id: str) -> None:
+    """Publish ``queue``'s metric map as ``owner_id``'s snapshot.
+
+    Failures are logged, never raised: observability must not be able
+    to take a fleet member down, and a full disk or flaky store only
+    costs a stale snapshot, never a lost interval.
+    """
+    try:
+        queue.write_metric_snapshot(owner_id)
+    except Exception as exc:
+        logger.debug(
+            "metric snapshot deposit failed for %s (%s: %s)",
+            owner_id, type(exc).__name__, exc,
+        )
+
+
 class Worker:
     """One member of the fleet: a claim-execute-deposit loop that steals.
 
@@ -1137,6 +1149,7 @@ class Worker:
         self.metrics = self.queue.metrics
         self._snapshot_interval = max(0.5, min(5.0, ttl / 4.0))
         self._last_snapshot_at = float("-inf")
+        self._scan_offset = zlib.crc32(self.worker_id.encode("utf-8"))
 
     def _retire_pending(self) -> bool:
         if not self._retire and self.queue.retire_requested(self.worker_id):
@@ -1144,23 +1157,12 @@ class Worker:
         return self._retire
 
     def _maybe_deposit_metrics(self, force: bool = False) -> None:
-        """Deposit a metric snapshot, throttled; failures never propagate.
-
-        Observability must not be able to take a worker down: a full
-        disk or flaky store only costs a stale snapshot, never a lost
-        interval.
-        """
+        """Deposit a metric snapshot, throttled; failures never propagate."""
         now = time.monotonic()
         if not force and now - self._last_snapshot_at < self._snapshot_interval:
             return
         self._last_snapshot_at = now
-        try:
-            self.queue.write_metric_snapshot(self.worker_id)
-        except Exception as exc:
-            logger.debug(
-                "metric snapshot deposit failed for %s (%s: %s)",
-                self.worker_id, type(exc).__name__, exc,
-            )
+        _deposit_metrics(self.queue, self.worker_id)
 
     def _observe_unit(self, delta: RunnerStats, elapsed: float) -> None:
         """Fold one executed unit's stats delta into the fleet metrics."""
@@ -1171,17 +1173,31 @@ class Worker:
                 self.metrics.inc("repro_runner_runs_total", value, counter=name)
 
     def run_once(self) -> int:
-        """One scan over the queue; returns how many intervals were executed."""
+        """One scan over the queue; returns how many intervals were executed.
+
+        Each campaign's units are tried once, starting at an offset fixed
+        by the worker id and wrapping round, so workers on one campaign
+        start apart instead of racing each other down the same list.  A
+        claim that fails means a peer got there first, so the rest of the
+        walk re-starts from a fresh scan, skipping the units already tried.
+        """
         executed = 0
         for campaign_id in self.queue.campaigns():
             view = self.queue.scan(campaign_id)
-            if view is None:
-                continue
-            for index, start, _ in view.units():
-                if self._retire_pending():
-                    return executed
-                if self._claim(view, index, start):
+            tried: Set[Tuple[int, int]] = set()
+            while view is not None:
+                units = [unit for unit in view.units() if unit[:2] not in tried]
+                offset = self._scan_offset % len(units) if units else 0
+                for index, start, _ in units[offset:] + units[:offset]:
+                    if self._retire_pending():
+                        return executed
+                    tried.add((index, start))
+                    if not self._claim(view, index, start):
+                        view = view.rescan()
+                        break
                     executed += 1
+                else:
+                    break
         return executed
 
     # ------------------------------------------------------------------
@@ -1268,12 +1284,10 @@ class Worker:
 
         ``batch`` is the claim's re-check view of the interval's batch.
         """
-        manifest = batch.manifest
         reducer = None
         try:
             tasks = self.queue.load_batch(lease.campaign_id, lease.batch_index)
-            if manifest["kind"] == "reduced":
-                reducer = self.queue.reducer_for(manifest)
+            reducer = self.queue.reducer_for(batch.manifest)
         except Exception as exc:
             tasks = None
             logger.warning(
@@ -1485,7 +1499,9 @@ class Supervisor:
     Polls the queue's :meth:`~WorkQueue.fleet_metrics` — claimable
     interval depth, lease liveness and deposit volume — and spawns or
     retires local ``repro-ho worker`` processes to keep the fleet
-    between ``min_workers`` and ``max_workers``:
+    between ``min_workers`` and ``max_workers``.  After every poll that
+    scaled, and once at :meth:`shutdown`, it deposits its own metric
+    snapshot (scale events) under :attr:`snapshot_id`:
 
     * **scale up** when there are unclaimed intervals no live lease
       covers (demand = unclaimed intervals + this supervisor's busy
@@ -1552,6 +1568,11 @@ class Supervisor:
         self.worker_max_idle = worker_max_idle
         self.stats = SupervisorStats()
         self.workers: List[_ManagedWorker] = []
+        #: The id this supervisor's metric snapshot is deposited under;
+        #: a spawned worker's id starts ``sup-``, so the two never collide.
+        self.snapshot_id = (
+            f"supervisor-{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        )
         self._spawn = spawn if spawn is not None else self._spawn_process
         self._on_status = on_status
         self._counter = 0
@@ -1650,12 +1671,15 @@ class Supervisor:
             target = 0 if self._drain_to_zero else self.min_workers
 
         active = [managed for managed in self.workers if not managed.retiring]
-        if len(active) < target:
-            self._scale_up(target - len(active))
-            self.queue.metrics.inc("repro_supervisor_scale_events_total", direction="up")
-        elif len(active) > target:
-            self._scale_down(len(active) - target, busy_ids)
-            self.queue.metrics.inc("repro_supervisor_scale_events_total", direction="down")
+        if len(active) != target:
+            if len(active) < target:
+                self._scale_up(target - len(active))
+                direction = "up"
+            else:
+                self._scale_down(len(active) - target, busy_ids)
+                direction = "down"
+            self.queue.metrics.inc("repro_supervisor_scale_events_total", direction=direction)
+            _deposit_metrics(self.queue, self.snapshot_id)
 
         self.stats.polls += 1
         self.stats.peak_workers = max(self.stats.peak_workers, len(self.workers))
@@ -1733,6 +1757,7 @@ class Supervisor:
                     managed.process.kill()
             self.queue.clear_retire(managed.worker_id)
         self.workers = []
+        _deposit_metrics(self.queue, self.snapshot_id)
 
     # -- background mode (``campaign --autoscale``) ------------------------------
     def start(self) -> None:
@@ -1762,33 +1787,19 @@ class Supervisor:
         self.stop()
 
 
-@dataclass
-class DistributedCampaignResult(CampaignResult):
-    """A campaign result annotated with per-worker execution stats."""
-
-    worker_stats: Dict[str, RunnerStats] = field(default_factory=dict)
-
-
-@dataclass
-class DistributedReducedCampaignResult(ReducedCampaignResult):
-    """A reduced campaign result annotated with per-worker stats."""
-
-    worker_stats: Dict[str, RunnerStats] = field(default_factory=dict)
-
-
 class DistributedCampaignRunner(_Pipeline):
     """Submit campaigns to a worker fleet and wait for their results.
 
     Implements the :class:`CampaignRunner` execution surface
-    (``run_tasks``/``run_reduced``/``run_campaign``/
-    ``run_reduced_campaign``), so experiment drivers accept it through
-    the existing ``runner=`` kwarg and every E1-E12 sweep can run
-    fleet-wide with no driver changes.  The runner itself executes
-    nothing: cacheable results are served from the fleet-shared cache,
-    everything else is enqueued and awaited.  Backend stamping, the
-    cache partition, stats and campaign reassembly are
-    :class:`CampaignRunner`'s own pipeline; only the dispatch step
-    (queue submit, wait, collect, discard) is fleet-specific.
+    (``run_tasks``/``run_reduced``/``run_campaign``), so experiment
+    drivers accept it through the existing ``runner=`` kwarg and every
+    E1-E12 sweep can run fleet-wide with no driver changes.  The runner
+    itself executes nothing: cacheable results are served from the
+    fleet-shared cache, everything else is enqueued and awaited.
+    Backend stamping, the cache partition, stats and campaign
+    reassembly are :class:`CampaignRunner`'s own pipeline; only the
+    dispatch step (queue submit, wait, collect, discard) is
+    fleet-specific.
 
     Parameters
     ----------
@@ -1856,31 +1867,6 @@ class DistributedCampaignRunner(_Pipeline):
             "records are the distributed wire format"
         )
 
-    def run_campaign(self, spec: CampaignSpec) -> DistributedCampaignResult:
-        """Expand ``spec``, execute it fleet-wide, reassemble in order."""
-        workers_before = {name: stats.snapshot() for name, stats in self.worker_stats.items()}
-        records, stats = self._campaign(spec, None)
-        return DistributedCampaignResult(
-            spec=spec,
-            records=records,
-            stats=stats,
-            worker_stats=self._worker_stats_since(workers_before),
-        )
-
-    def run_reduced_campaign(
-        self, spec: CampaignSpec, reducer: Reducer
-    ) -> DistributedReducedCampaignResult:
-        """Like :meth:`run_campaign`, with in-worker reduction."""
-        workers_before = {name: stats.snapshot() for name, stats in self.worker_stats.items()}
-        records, stats = self._campaign(spec, reducer)
-        return DistributedReducedCampaignResult(
-            spec=spec,
-            reducer=reducer,
-            records=records,
-            stats=stats,
-            worker_stats=self._worker_stats_since(workers_before),
-        )
-
     # -- submission without waiting --------------------------------------------
     def submit_campaign(
         self, spec: CampaignSpec, reducer: Optional[Reducer] = None
@@ -1919,10 +1905,7 @@ class DistributedCampaignRunner(_Pipeline):
     # -- internals -------------------------------------------------------------
     def _submit(self, pending: _Pending, reducer: Optional[Reducer]) -> str:
         return self.queue.submit(
-            [task for _, task, _ in pending],
-            kind="records" if reducer is None else "reduced",
-            reducer=reducer,
-            batch_size=self.batch_size,
+            [task for _, task, _ in pending], reducer=reducer, batch_size=self.batch_size
         )
 
     def _run(self, tasks: Sequence[RunTask], outcome: _Outcome, surface: str) -> List:
@@ -1970,14 +1953,6 @@ class DistributedCampaignRunner(_Pipeline):
             if any(not record.ok for record in chunk):
                 self.queue.discard_result(campaign_id, batch_index // self.batch_size)
         return [(index, record) for (index, _, _), record in zip(pending, fetched)]
-
-    def _worker_stats_since(
-        self, before: Dict[str, RunnerStats]
-    ) -> Dict[str, RunnerStats]:
-        return {
-            name: stats.since(before[name]) if name in before else stats.snapshot()
-            for name, stats in self.worker_stats.items()
-        }
 
     # -- lifecycle --------------------------------------------------------------
     def close(self) -> None:

@@ -25,9 +25,9 @@ groups the batchable misses per backend, splits every group into
 per-worker chunks (at any ``jobs``), runs singles and chunks through
 one worker entry point — a failed batch resets its adversaries and
 retries run by run — and updates :class:`RunnerStats`.
-:meth:`CampaignRunner.run_campaign` /
-:meth:`CampaignRunner.run_reduced_campaign` expand a declarative
-:class:`CampaignSpec` into tasks and execute them with caching;
+:meth:`CampaignRunner.run_campaign` expands a declarative
+:class:`CampaignSpec` into tasks and executes them with caching,
+reducing in the worker when given a reducer;
 :class:`~repro.runner.distributed.DistributedCampaignRunner` reuses the
 same pipeline with a worker fleet in place of the process pool.
 
@@ -50,6 +50,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.adversary.base import Adversary
@@ -112,26 +113,20 @@ class RunTask:
 
 @dataclass
 class CampaignResult:
-    """Outcome of one :meth:`CampaignRunner.run_campaign` invocation.
+    """Outcome of one ``run_campaign`` invocation, on either runner.
 
-    ``stats`` is a per-campaign snapshot (the delta accrued by this
-    invocation), not the runner's lifetime counters — a reused runner's
-    second campaign reports only its own totals.
+    ``records`` are :class:`RunRecord`s, or :class:`ReducedRecord`s when
+    ``reducer`` is set.  ``stats`` and ``worker_stats`` (per fleet
+    worker; empty for a local runner) are this campaign's deltas, not a
+    runner's lifetime counters — a reused runner's second campaign
+    reports only its own totals.
     """
 
     spec: CampaignSpec
-    records: List[RunRecord]
+    records: List[Any]
     stats: RunnerStats
-
-
-@dataclass
-class ReducedCampaignResult:
-    """Outcome of one :meth:`CampaignRunner.run_reduced_campaign` invocation."""
-
-    spec: CampaignSpec
-    reducer: Reducer
-    records: List[ReducedRecord]
-    stats: RunnerStats
+    reducer: Optional[Reducer] = None
+    worker_stats: Dict[str, RunnerStats] = field(default_factory=dict)
 
 
 @contextmanager
@@ -285,17 +280,13 @@ class _Outcome:
             return result
         if self.reducer is None:
             return RunRecord.from_result(
-                result, predicate=task.predicate, key=task.key, cell=task.cell,
-                run_index=task.run_index, seed=task.seed,
+                result, predicate=task.predicate, **self._identity(task, key)
             )
         try:
             data = self.reducer.reduce(result)
         except Exception as exc:
             return self.failed(task, key, exc)
-        return ReducedRecord.from_data(
-            data, reducer_name=self.reducer.name, key=key, cell=task.cell,
-            run_index=task.run_index, seed=task.seed,
-        )
+        return ReducedRecord.from_data(data, **self._identity(task, key))
 
     def failed(self, task: RunTask, key: Optional[str], exc: Exception) -> Any:
         """The failure record of a run that raised ``exc``.
@@ -308,29 +299,34 @@ class _Outcome:
         if self.full or not (timed_out or self.capture_errors):
             raise exc
         message = str(exc) if timed_out else f"{type(exc).__name__}: {exc}"
-        if self.reducer is None:
-            return RunRecord.failure(
-                message, timed_out=timed_out, key=task.key, cell=task.cell,
-                run_index=task.run_index, seed=task.seed,
-            )
-        return ReducedRecord.failure(
-            message, timed_out=timed_out, reducer_name=self.reducer.name, key=key,
-            cell=task.cell, run_index=task.run_index, seed=task.seed,
-        )
+        record_type = RunRecord if self.reducer is None else ReducedRecord
+        return record_type.failure(message, timed_out=timed_out, **self._identity(task, key))
 
     def spec_failure(self, message: str, run_spec: RunSpec) -> Any:
         """The failure record of a campaign cell whose objects could not be built."""
         key = run_spec.config_hash()
+        identity: Dict[str, Any] = {
+            "cell": run_spec.cell(), "run_index": run_spec.run_index, "seed": run_spec.seed,
+        }
         if self.reducer is None:
-            return RunRecord.failure(
-                message, key=key, cell=run_spec.cell(),
-                run_index=run_spec.run_index, seed=run_spec.seed,
-            )
+            return RunRecord.failure(message, key=key, **identity)
         return ReducedRecord.failure(
-            message, reducer_name=self.reducer.name,
-            key=reduced_cache_key(key, self.reducer), cell=run_spec.cell(),
-            run_index=run_spec.run_index, seed=run_spec.seed,
+            message, key=reduced_cache_key(key, self.reducer), reducer_name=self.reducer.name,
+            **identity,
         )
+
+    def _identity(self, task: RunTask, key: Optional[str]) -> Dict[str, Any]:
+        """The envelope of the record ``task`` becomes.
+
+        A plain record keeps its task's own key, cached or not; a reduced
+        record carries its reduced cache key and the reducer's name.
+        """
+        identity: Dict[str, Any] = {
+            "cell": task.cell, "run_index": task.run_index, "seed": task.seed,
+        }
+        if self.reducer is None:
+            return {"key": task.key, **identity}
+        return {"key": key, "reducer_name": self.reducer.name, **identity}
 
 
 #: Cache misses as ``(index, task, cache key)``.
@@ -452,15 +448,18 @@ class _Pipeline:
 
     Stamps the default backend onto tasks, partitions them on the
     result cache, hands the misses to :meth:`_dispatch` and updates
-    :class:`RunnerStats`; :meth:`_campaign` expands declarative specs on
-    top.  :class:`CampaignRunner` dispatches to in-process or pooled
-    workers, :class:`~repro.runner.distributed.DistributedCampaignRunner`
-    to a worker fleet through its queue.
+    :class:`RunnerStats` (the one count of cache hits and misses);
+    :meth:`run_campaign` expands declarative specs on top.
+    :class:`CampaignRunner` dispatches to in-process or pooled workers,
+    :class:`~repro.runner.distributed.DistributedCampaignRunner` to a
+    worker fleet through its queue.
     """
 
     backend: Union[str, EngineBackend]
     cache: Optional[ResultCache]
     stats: RunnerStats
+    #: Per-worker stats of a fleet runner; a local runner has no workers.
+    worker_stats: Mapping[str, RunnerStats] = MappingProxyType({})
 
     def run_tasks(
         self, tasks: Sequence[RunTask], capture_errors: bool = False
@@ -523,18 +522,20 @@ class _Pipeline:
         self.stats.elapsed_seconds += time.perf_counter() - started
         return _require_complete(outputs, surface)
 
-    def _campaign(
-        self, spec: CampaignSpec, reducer: Optional[Reducer]
-    ) -> Tuple[List[Any], RunnerStats]:
-        """Expand ``spec``, execute it and reassemble records in spec order.
+    def run_campaign(
+        self, spec: CampaignSpec, reducer: Optional[Reducer] = None
+    ) -> CampaignResult:
+        """Expand ``spec``, execute it (with caching) and reassemble its
+        records in spec order, reducing inside the workers when given
+        ``reducer``.
 
         Cells whose objects cannot be built (bad name/params) become
-        failure records in place.  Returns the records and this
-        campaign's stats delta (not the runner's lifetime counters, so
-        reusing one runner never leaks one campaign's totals into the
-        next one's report).
+        failure records in place.  The result's stats are this
+        campaign's deltas, so reusing one runner never leaks one
+        campaign's totals into the next one's report.
         """
         before = self.stats.snapshot()
+        workers_before = {name: stats.snapshot() for name, stats in self.worker_stats.items()}
         run_specs = spec.expand()
         tasks, positions, failures = materialise_specs(run_specs, self.stats)
         if reducer is None:
@@ -547,7 +548,11 @@ class _Pipeline:
         outcome = _Outcome(reducer)
         for position, (message, run_spec) in failures.items():
             records[position] = outcome.spec_failure(message, run_spec)
-        return records, self.stats.since(before)
+        worker_stats = {
+            name: stats.since(workers_before.get(name, RunnerStats()))
+            for name, stats in self.worker_stats.items()
+        }
+        return CampaignResult(spec, records, self.stats.since(before), reducer, worker_stats)
 
 
 class CampaignRunner(_Pipeline):
@@ -734,23 +739,3 @@ class CampaignRunner(_Pipeline):
             # starts from a fresh one.
             self.close()
             raise
-
-    # ------------------------------------------------------------------
-    # Declarative campaigns
-    # ------------------------------------------------------------------
-    def run_campaign(self, spec: CampaignSpec) -> CampaignResult:
-        """Expand ``spec`` into tasks, execute (with caching), aggregate.
-
-        The returned ``stats`` cover this campaign only (a snapshot
-        delta), so reusing one runner across campaigns never leaks the
-        first campaign's counters into the second's report.
-        """
-        records, stats = self._campaign(spec, None)
-        return CampaignResult(spec=spec, records=records, stats=stats)
-
-    def run_reduced_campaign(
-        self, spec: CampaignSpec, reducer: Reducer
-    ) -> ReducedCampaignResult:
-        """Like :meth:`run_campaign`, but reducing inside the workers."""
-        records, stats = self._campaign(spec, reducer)
-        return ReducedCampaignResult(spec=spec, reducer=reducer, records=records, stats=stats)

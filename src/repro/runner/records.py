@@ -10,15 +10,120 @@ cache stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro.core.predicates import CommunicationPredicate
 from repro.simulation.engine import SimulationResult
 
+_R = TypeVar("_R", bound="_Record")
+_Convert = Optional[Callable[[Any], Any]]
+
+
+def outcome_fields(result: SimulationResult) -> Dict[str, Any]:
+    """The per-run outcome summary every record kind carries.
+
+    :class:`RunRecord` is built on it, and every standard reducer
+    includes it, so aggregating either kind of record reproduces the
+    full-result aggregation exactly.
+    """
+    outcome = result.outcome
+    metrics = result.metrics
+    return {
+        "agreement": outcome.agreement,
+        "integrity": outcome.integrity,
+        "termination": outcome.termination,
+        "validity": outcome.validity,
+        "all_satisfied": outcome.all_satisfied,
+        "rounds_executed": outcome.rounds_executed,
+        "first_decision_round": outcome.first_decision_round,
+        "last_decision_round": outcome.last_decision_round,
+        "decided_count": len(outcome.decisions),
+        "messages_sent": metrics.messages_sent,
+        "messages_dropped": metrics.messages_dropped,
+        "messages_corrupted": metrics.messages_corrupted,
+        "violations": list(outcome.violations),
+        "algorithm_name": result.algorithm_name,
+        "adversary_name": result.adversary_name,
+    }
+
+
+@lru_cache(maxsize=None)
+def _codec(cls: Any) -> Tuple[Tuple[str, _Convert, _Convert, Any], ...]:
+    """Per dataclass field: name, ``as_dict`` copy, ``from_dict`` cast, missing-key default.
+
+    Worked out once per class: warm passes decode every cached record.
+    Container fields are copied both ways; a field defaulting to
+    ``None`` is read back as stored; any other field is cast to its
+    default's type (so an old ``1`` still reads as ``True``).  ``None``
+    stands for "as is".
+    """
+    codec: List[Tuple[str, _Convert, _Convert, Any]] = []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            codec.append((f.name, f.default_factory, f.default_factory, f.default_factory()))
+        elif f.default is None:
+            codec.append((f.name, None, None, None))
+        else:
+            codec.append((f.name, None, type(f.default), f.default))
+    return tuple(codec)
+
+
+def _from_dict(cls: Any, data: Mapping[str, Any]) -> Any:
+    """Rebuild a dataclass from its JSON form; missing keys read as defaults."""
+    return cls(
+        **{
+            name: data.get(name, default) if cast is None else cast(data.get(name, default))
+            for name, _, cast, default in _codec(cls)
+        }
+    )
+
+
+class _Record:
+    """The envelope every record kind shares, serialised from its fields.
+
+    ``as_dict`` lists the dataclass fields in declaration order, which
+    is the byte layout the cache and the queue store; ``from_dict``
+    tolerates payloads written before a field existed.
+    """
+
+    error: Optional[str]
+    timed_out: bool
+
+    @property
+    def ok(self) -> bool:
+        """Whether the run actually executed (no crash, no timeout)."""
+        return self.error is None and not self.timed_out
+
+    @classmethod
+    def failure(
+        cls: Type[_R],
+        error: str,
+        timed_out: bool = False,
+        cell: Optional[Mapping[str, object]] = None,
+        **identity: Any,
+    ) -> _R:
+        """The record of a run that produced no outcome; ``identity``
+        names the record's other envelope fields (``key``, ``run_index``,
+        ``seed``, ...)."""
+        return cls(  # type: ignore[call-arg]
+            error=error, timed_out=timed_out, cell=dict(cell or {}), **identity
+        )
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            name: getattr(self, name) if copy is None else copy(getattr(self, name))
+            for name, copy, _, _ in _codec(type(self))
+        }
+
+    @classmethod
+    def from_dict(cls: Type[_R], data: Mapping[str, Any]) -> _R:
+        return _from_dict(cls, data)
+
 
 @dataclass
-class RunRecord:
+class RunRecord(_Record):
     """Everything batch aggregation needs to know about one run."""
 
     agreement: bool = False
@@ -44,118 +149,24 @@ class RunRecord:
     timed_out: bool = False
     error: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        """Whether the run actually executed (no crash, no timeout)."""
-        return self.error is None and not self.timed_out
-
     @classmethod
     def from_result(
         cls,
         result: SimulationResult,
         predicate: Optional[CommunicationPredicate] = None,
-        key: Optional[str] = None,
         cell: Optional[Mapping[str, object]] = None,
-        run_index: int = 0,
-        seed: Optional[int] = None,
+        **identity: Any,
     ) -> "RunRecord":
-        outcome = result.outcome
-        metrics = result.metrics
+        """The record of a finished run: its outcome summary, the
+        predicate's verdict on its heard-of collection, and ``identity``
+        (``key``, ``run_index``, ``seed``)."""
         return cls(
-            agreement=outcome.agreement,
-            integrity=outcome.integrity,
-            termination=outcome.termination,
-            validity=outcome.validity,
-            all_satisfied=outcome.all_satisfied,
-            rounds_executed=outcome.rounds_executed,
-            first_decision_round=outcome.first_decision_round,
-            last_decision_round=outcome.last_decision_round,
-            decided_count=len(outcome.decisions),
-            messages_sent=metrics.messages_sent,
-            messages_dropped=metrics.messages_dropped,
-            messages_corrupted=metrics.messages_corrupted,
+            **outcome_fields(result),
             predicate_held=(
                 predicate.holds(result.collection) if predicate is not None else None
             ),
-            violations=list(outcome.violations),
-            algorithm_name=result.algorithm_name,
-            adversary_name=result.adversary_name,
-            key=key,
             cell=dict(cell or {}),
-            run_index=run_index,
-            seed=seed,
-        )
-
-    @classmethod
-    def failure(
-        cls,
-        error: str,
-        timed_out: bool = False,
-        key: Optional[str] = None,
-        cell: Optional[Mapping[str, object]] = None,
-        run_index: int = 0,
-        seed: Optional[int] = None,
-    ) -> "RunRecord":
-        return cls(
-            error=error,
-            timed_out=timed_out,
-            key=key,
-            cell=dict(cell or {}),
-            run_index=run_index,
-            seed=seed,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "agreement": self.agreement,
-            "integrity": self.integrity,
-            "termination": self.termination,
-            "validity": self.validity,
-            "all_satisfied": self.all_satisfied,
-            "rounds_executed": self.rounds_executed,
-            "first_decision_round": self.first_decision_round,
-            "last_decision_round": self.last_decision_round,
-            "decided_count": self.decided_count,
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "messages_corrupted": self.messages_corrupted,
-            "predicate_held": self.predicate_held,
-            "violations": list(self.violations),
-            "algorithm_name": self.algorithm_name,
-            "adversary_name": self.adversary_name,
-            "key": self.key,
-            "cell": dict(self.cell),
-            "run_index": self.run_index,
-            "seed": self.seed,
-            "timed_out": self.timed_out,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        return cls(
-            agreement=bool(data.get("agreement", False)),
-            integrity=bool(data.get("integrity", False)),
-            termination=bool(data.get("termination", False)),
-            validity=bool(data.get("validity", False)),
-            all_satisfied=bool(data.get("all_satisfied", False)),
-            rounds_executed=int(data.get("rounds_executed", 0)),
-            first_decision_round=data.get("first_decision_round"),
-            last_decision_round=data.get("last_decision_round"),
-            decided_count=int(data.get("decided_count", 0)),
-            messages_sent=int(data.get("messages_sent", 0)),
-            messages_dropped=int(data.get("messages_dropped", 0)),
-            messages_corrupted=int(data.get("messages_corrupted", 0)),
-            predicate_held=data.get("predicate_held"),
-            violations=list(data.get("violations", [])),
-            algorithm_name=str(data.get("algorithm_name", "")),
-            adversary_name=str(data.get("adversary_name", "")),
-            key=data.get("key"),
-            cell=dict(data.get("cell", {})),
-            run_index=int(data.get("run_index", 0)),
-            seed=data.get("seed"),
-            timed_out=bool(data.get("timed_out", False)),
-            error=data.get("error"),
+            **identity,
         )
 
 
@@ -220,12 +231,7 @@ class RunnerStats:
         Missing keys read as zero, so payloads written before a counter
         existed still load.
         """
-        return cls(
-            **{
-                f.name: (float if isinstance(f.default, float) else int)(data.get(f.name, 0))
-                for f in fields(cls)
-            }
-        )
+        return _from_dict(cls, data)
 
     def merge(self, other: "RunnerStats") -> None:
         """Fold another stats delta into this one, in place."""

@@ -35,40 +35,13 @@ any of their outputs into a :class:`BatchReport` that matches
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.predicates import CommunicationPredicate
+from repro.runner.records import _Record, outcome_fields
 from repro.runner.spec import CACHE_SCHEMA_VERSION, stable_hash
 from repro.simulation.engine import SimulationResult
 from repro.verification.properties import BatchReport
-
-
-def outcome_fields(result: SimulationResult) -> Dict[str, object]:
-    """The per-run summary every standard reducer includes.
-
-    Mirrors what :class:`repro.runner.records.RunRecord` extracts, so
-    aggregating reduced data reproduces the full-result aggregation
-    exactly.
-    """
-    outcome = result.outcome
-    metrics = result.metrics
-    return {
-        "agreement": outcome.agreement,
-        "integrity": outcome.integrity,
-        "termination": outcome.termination,
-        "validity": outcome.validity,
-        "all_satisfied": outcome.all_satisfied,
-        "rounds_executed": outcome.rounds_executed,
-        "first_decision_round": outcome.first_decision_round,
-        "last_decision_round": outcome.last_decision_round,
-        "decided_count": len(outcome.decisions),
-        "messages_sent": metrics.messages_sent,
-        "messages_dropped": metrics.messages_dropped,
-        "messages_corrupted": metrics.messages_corrupted,
-        "violations": list(outcome.violations),
-        "algorithm_name": result.algorithm_name,
-        "adversary_name": result.adversary_name,
-    }
 
 
 class Reducer:
@@ -192,7 +165,7 @@ def make_reducer(
 
 
 @dataclass
-class ReducedRecord:
+class ReducedRecord(_Record):
     """What a reduced run ships back from the worker: data plus identity.
 
     ``data`` is whatever the reducer produced (empty for failed runs);
@@ -210,75 +183,16 @@ class ReducedRecord:
     timed_out: bool = False
     error: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        """Whether the run actually executed (no crash, no timeout)."""
-        return self.error is None and not self.timed_out
-
     @classmethod
     def from_data(
         cls,
         data: Mapping[str, object],
-        reducer_name: str = "",
-        key: Optional[str] = None,
         cell: Optional[Mapping[str, object]] = None,
-        run_index: int = 0,
-        seed: Optional[int] = None,
+        **identity: Any,
     ) -> "ReducedRecord":
-        return cls(
-            data=dict(data),
-            reducer_name=reducer_name,
-            key=key,
-            cell=dict(cell or {}),
-            run_index=run_index,
-            seed=seed,
-        )
-
-    @classmethod
-    def failure(
-        cls,
-        error: str,
-        timed_out: bool = False,
-        reducer_name: str = "",
-        key: Optional[str] = None,
-        cell: Optional[Mapping[str, object]] = None,
-        run_index: int = 0,
-        seed: Optional[int] = None,
-    ) -> "ReducedRecord":
-        return cls(
-            reducer_name=reducer_name,
-            error=error,
-            timed_out=timed_out,
-            key=key,
-            cell=dict(cell or {}),
-            run_index=run_index,
-            seed=seed,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "data": dict(self.data),
-            "reducer_name": self.reducer_name,
-            "key": self.key,
-            "cell": dict(self.cell),
-            "run_index": self.run_index,
-            "seed": self.seed,
-            "timed_out": self.timed_out,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ReducedRecord":
-        return cls(
-            data=dict(payload.get("data", {})),
-            reducer_name=str(payload.get("reducer_name", "")),
-            key=payload.get("key"),
-            cell=dict(payload.get("cell", {})),
-            run_index=int(payload.get("run_index", 0)),
-            seed=payload.get("seed"),
-            timed_out=bool(payload.get("timed_out", False)),
-            error=payload.get("error"),
-        )
+        """The record of a reduced run; ``identity`` names its other
+        envelope fields (``reducer_name``, ``key``, ``run_index``, ``seed``)."""
+        return cls(data=dict(data), cell=dict(cell or {}), **identity)
 
 
 def reduced_cache_key(task_key: str, reducer: Reducer) -> str:
@@ -286,19 +200,19 @@ def reduced_cache_key(task_key: str, reducer: Reducer) -> str:
     return stable_hash({"task": task_key, "reducer": reducer.fingerprint()})
 
 
-def batch_report_from_reduced(
-    rows: Iterable[Mapping[str, object]], predicate_label: Optional[str] = None
+def _fold(
+    runs: Iterable[Tuple[Mapping[str, Any], Optional[bool]]], counts_predicate: bool
 ) -> BatchReport:
-    """Fold reduced data dicts into a :class:`BatchReport`.
+    """Fold ``(outcome fields, predicate verdict)`` pairs into a :class:`BatchReport`.
 
-    Matches :func:`repro.verification.properties.aggregate` on the same
-    runs field for field.  With ``predicate_label``, the report also
-    counts how often that predicate (from a :class:`PredicateReducer`'s
-    ``"predicates"`` field) held, and how many runs are genuine
+    The one fold behind :func:`batch_report_from_reduced` and
+    :func:`repro.runner.aggregate.batch_report_from_records`; it matches
+    :func:`repro.verification.properties.aggregate` field for field.  A
+    ``None`` verdict counts towards neither the hold count nor the
     counterexamples.
     """
-    report = BatchReport(predicate_held=0 if predicate_label is not None else None)
-    for row in rows:
+    report = BatchReport(predicate_held=0 if counts_predicate else None)
+    for row, held in runs:
         report.total += 1
         report.agreement_ok += int(bool(row["agreement"]))
         report.integrity_ok += int(bool(row["integrity"]))
@@ -308,12 +222,27 @@ def batch_report_from_reduced(
             report.decision_rounds.append(int(row["last_decision_round"]))
         report.corruption_totals.append(int(row["messages_corrupted"]))
         report.violations.extend(row["violations"])
-        if predicate_label is not None:
-            held = bool(row["predicates"][predicate_label])
+        if held is not None:
             report.predicate_held += int(held)
             if held and not row["all_satisfied"]:
                 report.counterexamples += 1
     return report
+
+
+def batch_report_from_reduced(
+    rows: Iterable[Mapping[str, Any]], predicate_label: Optional[str] = None
+) -> BatchReport:
+    """Fold reduced data dicts into a :class:`BatchReport`.
+
+    Matches :func:`repro.verification.properties.aggregate` on the same
+    runs field for field.  With ``predicate_label``, the report also
+    counts how often that predicate (from a :class:`PredicateReducer`'s
+    ``"predicates"`` field) held, and how many runs are genuine
+    counterexamples.
+    """
+    if predicate_label is None:
+        return _fold(((row, None) for row in rows), False)
+    return _fold(((row, bool(row["predicates"][predicate_label])) for row in rows), True)
 
 
 def reduced_data(records: Iterable[ReducedRecord]) -> List[Dict[str, object]]:

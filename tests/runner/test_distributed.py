@@ -293,13 +293,13 @@ class TestDifferentialModes:
     def test_reduced_campaign_distributed_matches_serial(self, tmp_path):
         spec = demo_spec(campaign_id="dist-reduced")
         reducer = DecisionReducer()
-        serial = CampaignRunner().run_reduced_campaign(spec, reducer)
+        serial = CampaignRunner().run_campaign(spec, reducer)
 
         queue_dir = tmp_path / "queue"
         workers = fleet(queue_dir, 2)
         try:
             runner = DistributedCampaignRunner(queue_dir, batch_size=4, wait_timeout=WAIT)
-            distributed = runner.run_reduced_campaign(spec, reducer)
+            distributed = runner.run_campaign(spec, reducer)
         finally:
             reap(workers)
 
@@ -523,7 +523,7 @@ class TestSubmitterSemantics:
         campaign drained by an in-process Worker equals the serial run."""
         spec = demo_spec(runs=2, campaign_id="dist-inline")
         reducer = DecisionReducer()
-        serial = CampaignRunner().run_reduced_campaign(spec, reducer)
+        serial = CampaignRunner().run_campaign(spec, reducer)
 
         runner = DistributedCampaignRunner(tmp_path / "queue", batch_size=4, wait_timeout=30)
         campaign_id = runner.submit_campaign(spec, reducer)
@@ -532,7 +532,7 @@ class TestSubmitterSemantics:
         worker.close()
         assert runner.queue.scan(campaign_id).pending() == []
 
-        distributed = runner.run_reduced_campaign(spec, reducer)
+        distributed = runner.run_campaign(spec, reducer)
         assert [record.as_dict() for record in serial.records] == [
             record.as_dict() for record in distributed.records
         ]
@@ -560,8 +560,8 @@ class TestSubmitterSemantics:
             serial = CampaignRunner().run_campaign(spec)
             distributed = runner.run_campaign(spec)
         else:
-            serial = CampaignRunner().run_reduced_campaign(spec, reducer)
-            distributed = runner.run_reduced_campaign(spec, reducer)
+            serial = CampaignRunner().run_campaign(spec, reducer)
+            distributed = runner.run_campaign(spec, reducer)
         records = [record.as_dict() for record in distributed.records]
         assert records == [record.as_dict() for record in serial.records]
         assert [record["error"] is None for record in records] == [True, True, False, False]
@@ -994,6 +994,53 @@ class TestWorkStealing:
         pacifist.close()
         assert not queue.scan(campaign_id).cut_points
         assert pacifist.steals == 0
+
+
+class TestClaimOrder:
+    """Workers start their scans apart; each still tries every unit once."""
+
+    @staticmethod
+    def _submit_16(queue):
+        tasks = [task_from_spec(spec) for spec in demo_spec(runs=4).expand()]
+        assert len(tasks) == 16
+        return queue.submit(tasks, batch_size=1)
+
+    @staticmethod
+    def _scan(worker, monkeypatch, claim_wins):
+        """One ``run_once`` with claims stubbed out; the intervals it tried."""
+        tried = []
+
+        def claim(view, index, start):
+            tried.append((index, start))
+            return claim_wins
+
+        monkeypatch.setattr(worker, "_claim", claim)
+        worker.run_once()
+        worker.close()
+        return tried
+
+    @pytest.mark.parametrize("claim_wins", [True, False], ids=["claims-win", "claims-lose"])
+    def test_one_worker_tries_every_unit_once_per_scan(self, tmp_path, monkeypatch, claim_wins):
+        queue = WorkQueue(tmp_path / "q")
+        self._submit_16(queue)
+        tried = self._scan(Worker(queue, worker_id="w1"), monkeypatch, claim_wins)
+        assert sorted(tried) == [(index, 0) for index in range(16)]
+        if claim_wins:
+            # Wrapping round from the worker's own offset.
+            first = tried[0][0]
+            assert tried == [((first + step) % 16, 0) for step in range(16)]
+
+    def test_two_workers_start_at_different_intervals(self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path / "q")
+        self._submit_16(queue)
+        first = {
+            worker_id: self._scan(Worker(queue, worker_id=worker_id), monkeypatch, True)[0]
+            for worker_id in ("w1", "w2")
+        }
+        assert first["w1"] != first["w2"]
+        # A stable hash, not randomness: the same id starts at the same place.
+        again = self._scan(Worker(queue, worker_id="w1"), monkeypatch, True)[0]
+        assert again == first["w1"]
 
 
 class TestRetireProtocol:

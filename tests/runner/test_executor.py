@@ -175,7 +175,12 @@ class TestResultCache:
         cache.put("key", RunRecord(agreement=True))
         hit = cache.get("key")
         assert hit is not None and hit.agreement
-        assert cache.hits == 1 and cache.misses == 1
+        # Hits and misses are counted once, by the runner that looks up.
+        runner = CampaignRunner(cache=ResultCache(tmp_path / "runner"))
+        task = make_task(n=4, adversary=ReliableAdversaryForReuse(), key="miss-then-hit")
+        runner.run_tasks([task])
+        runner.run_tasks([task])
+        assert runner.stats.cache_hits == 1 and runner.stats.cache_misses == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

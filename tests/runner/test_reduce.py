@@ -242,11 +242,11 @@ class TestReducedCaching:
             workload=WorkloadSpec("random"),
         )
         reducer = make_reducer("predicate", {"safe": AlphaSafePredicate(1)})
-        serial = CampaignRunner(cache=ResultCache(tmp_path)).run_reduced_campaign(
+        serial = CampaignRunner(cache=ResultCache(tmp_path)).run_campaign(
             spec, reducer
         )
         with CampaignRunner(jobs=4, cache=ResultCache(tmp_path)) as runner:
-            parallel = runner.run_reduced_campaign(spec, reducer)
+            parallel = runner.run_campaign(spec, reducer)
         assert parallel.stats.cache_hits == len(serial.records)
         assert [r.as_dict() for r in serial.records] == [
             r.as_dict() for r in parallel.records
@@ -341,8 +341,8 @@ class TestRunnerCorrectness:
             max_rounds=20,
         )
         runner = CampaignRunner()
-        first = runner.run_reduced_campaign(spec, DecisionReducer())
-        second = runner.run_reduced_campaign(spec, DecisionReducer())
+        first = runner.run_campaign(spec, DecisionReducer())
+        second = runner.run_campaign(spec, DecisionReducer())
         assert first.stats.total == second.stats.total == 2
 
     def test_run_simulations_raises_on_missing_result(self, monkeypatch):

@@ -376,3 +376,50 @@ class TestSupervisorScaleMetrics:
         assert len(supervisor.workers) == 3
         flat = supervisor.queue.metrics.flat_values()
         assert flat['repro_supervisor_scale_events_total{direction="up"}'] == 1
+
+
+class TestSupervisorPublishesItsMetrics:
+    """The supervisor deposits its own snapshot, so `status` sees scale events."""
+
+    def test_scaling_poll_publishes_scale_events(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        queue.submit([task_from_spec(spec) for spec in tiny_spec().expand()], batch_size=1)
+        supervisor = Supervisor(queue, max_workers=2, spawn=lambda worker_id: _FakeProc())
+        assert supervisor.poll_once()["target"] == 2
+        # A fresh reader, as `repro-ho status` would be.
+        totals = fleet_status(WorkQueue(tmp_path))["totals"]
+        assert totals['repro_supervisor_scale_events_total{direction="up"}'] >= 1
+
+    def test_snapshot_id_never_collides_with_a_spawned_worker(self, tmp_path):
+        spawned = []
+        supervisor = Supervisor(
+            WorkQueue(tmp_path), max_workers=2,
+            spawn=lambda worker_id: spawned.append(worker_id) or _FakeProc(),
+        )
+        other = Supervisor(WorkQueue(tmp_path), spawn=lambda worker_id: _FakeProc())
+        supervisor._scale_up(2)
+        assert all(worker_id.startswith("sup-") for worker_id in spawned)
+        assert not supervisor.snapshot_id.startswith("sup-")
+        assert supervisor.snapshot_id != other.snapshot_id
+
+    def test_quiet_polls_do_not_deposit_but_shutdown_does(self, tmp_path):
+        queue = WorkQueue(tmp_path)
+        supervisor = Supervisor(queue, spawn=lambda worker_id: _FakeProc())
+        supervisor.poll_once()  # nothing queued: no scaling, no deposit
+        assert queue.metric_snapshots() == {}
+        supervisor.shutdown()
+        assert list(queue.metric_snapshots()) == [supervisor.snapshot_id]
+
+    def test_store_errors_are_swallowed(self, tmp_path, caplog, monkeypatch):
+        queue = WorkQueue(tmp_path)
+        queue.submit([task_from_spec(spec) for spec in tiny_spec().expand()], batch_size=1)
+
+        def full_disk(owner_id):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(queue, "write_metric_snapshot", full_disk)
+        supervisor = Supervisor(queue, max_workers=2, spawn=lambda worker_id: _FakeProc())
+        with caplog.at_level(logging.DEBUG, logger="repro.runner.distributed"):
+            assert supervisor.poll_once()["workers"] == 2
+            supervisor.shutdown()
+        assert "metric snapshot deposit failed" in caplog.text

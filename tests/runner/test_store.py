@@ -9,7 +9,7 @@ from repro.adversary import ReliableAdversary
 from repro.algorithms import AteAlgorithm
 from repro.runner import CampaignRunner, ResultCache, RunTask
 from repro.runner.records import RunRecord
-from repro.runner.reduce import ReducedRecord
+from repro.runner.reduce import DecisionReducer, ReducedRecord, reduced_cache_key
 from repro.runner.store import (
     CacheStore,
     FsspecObjectClient,
@@ -155,21 +155,31 @@ class TestCorruptEntriesAreMisses:
     )
     def test_garbage_entry_is_a_miss_and_warns(self, tmp_path, caplog, garbage):
         cache = ResultCache(tmp_path)
-        cache.put("key", RunRecord(agreement=True))
-        self._corrupt(cache, "key", garbage)
+        key = _task().key
+        cache.put(key, RunRecord(agreement=True))
+        self._corrupt(cache, key, garbage)
         with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
-            assert cache.get("key") is None
-        assert cache.misses == 1 and cache.hits == 0
+            assert cache.get(key) is None
         assert any("treating as a miss" in message for message in caplog.messages)
         # The bad entry is dropped so it cannot mask the rewrite.
-        assert not cache.path_for("key").exists()
+        assert not cache.path_for(key).exists()
+        # The runner that looks the entry up counts it, once, as a miss.
+        self._corrupt(cache, key, garbage)
+        runner = CampaignRunner(cache=cache)
+        runner.run_tasks([_task()])
+        assert runner.stats.cache_misses == 1 and runner.stats.cache_hits == 0
 
     def test_corrupt_reduced_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_reduced("key", ReducedRecord(data={"x": 1}, reducer_name="r"))
-        self._corrupt(cache, "key", '{"data": "not-a-dict"}')
-        assert cache.get_reduced("key") is None
-        assert cache.misses == 1
+        reducer = DecisionReducer()
+        key = reduced_cache_key(_task().key, reducer)
+        cache.put_reduced(key, ReducedRecord(data={"x": 1}, reducer_name="r"))
+        self._corrupt(cache, key, '{"data": "not-a-dict"}')
+        assert cache.get_reduced(key) is None
+        self._corrupt(cache, key, '{"data": "not-a-dict"}')
+        runner = CampaignRunner(cache=cache)
+        runner.run_reduced([_task()], reducer)
+        assert runner.stats.cache_misses == 1
 
     def test_runner_requeues_runs_with_corrupt_entries(self, tmp_path):
         """End to end: a corrupted entry re-executes the run and rewrites
@@ -248,21 +258,31 @@ class TestObjectStoreCorruptEntryParity:
     )
     def test_garbage_entry_is_a_miss_and_warns(self, caplog, garbage):
         cache = ResultCache(store=ObjectStore(InMemoryObjectClient()))
-        cache.put("key", RunRecord(agreement=True))
-        cache.store.write_text(cache.relpath_for("key"), garbage)
+        key = _task().key
+        cache.put(key, RunRecord(agreement=True))
+        cache.store.write_text(cache.relpath_for(key), garbage)
         with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
-            assert cache.get("key") is None
-        assert cache.misses == 1 and cache.hits == 0
+            assert cache.get(key) is None
         assert any("treating as a miss" in message for message in caplog.messages)
         # The bad entry is dropped so it cannot mask the rewrite.
-        assert not cache.store.exists(cache.relpath_for("key"))
+        assert not cache.store.exists(cache.relpath_for(key))
+        # The runner that looks the entry up counts it, once, as a miss.
+        cache.store.write_text(cache.relpath_for(key), garbage)
+        runner = CampaignRunner(cache=cache)
+        runner.run_tasks([_task()])
+        assert runner.stats.cache_misses == 1 and runner.stats.cache_hits == 0
 
     def test_corrupt_reduced_entry_is_a_miss(self):
         cache = ResultCache(store=ObjectStore(InMemoryObjectClient()))
-        cache.put_reduced("key", ReducedRecord(data={"x": 1}, reducer_name="r"))
-        cache.store.write_text(cache.relpath_for("key"), '{"data": "not-a-dict"}')
-        assert cache.get_reduced("key") is None
-        assert cache.misses == 1
+        reducer = DecisionReducer()
+        key = reduced_cache_key(_task().key, reducer)
+        cache.put_reduced(key, ReducedRecord(data={"x": 1}, reducer_name="r"))
+        cache.store.write_text(cache.relpath_for(key), '{"data": "not-a-dict"}')
+        assert cache.get_reduced(key) is None
+        cache.store.write_text(cache.relpath_for(key), '{"data": "not-a-dict"}')
+        runner = CampaignRunner(cache=cache)
+        runner.run_reduced([_task()], reducer)
+        assert runner.stats.cache_misses == 1
 
     def test_runner_requeues_runs_with_corrupt_entries(self, tmp_path):
         """End to end on the object store: a corrupted entry re-executes
